@@ -9,7 +9,7 @@
 //! is an imperfect fit; a candidate that explains every packet promptly
 //! is a close fit.
 
-use crate::sender::{analyze_sender, SenderAnalysis};
+use crate::sender::{prescan, replay_candidate, Prescan, ReplayOptions, SenderAnalysis};
 use tcpa_tcpsim::config::TcpConfig;
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration};
@@ -75,34 +75,44 @@ pub fn classify(analysis: &SenderAnalysis) -> FitClass {
 
 /// Runs one candidate against a connection.
 pub fn fingerprint_one(conn: &Connection, cfg: &TcpConfig) -> Option<FingerprintResult> {
+    Some(score(conn, &prescan(conn)?, cfg))
+}
+
+/// Replays and classifies one candidate over a prescanned connection.
+fn score(conn: &Connection, pre: &Prescan, cfg: &TcpConfig) -> FingerprintResult {
     // `detail.*` spans are sub-stage detail nested inside
     // `stage.fingerprint`; they are excluded from stage-coverage sums so
     // the replay time is not double-counted.
-    let analysis = tcpa_obs::time("detail.sender_replay", || analyze_sender(conn, cfg))?;
-    Some(FingerprintResult {
+    let analysis = tcpa_obs::time("detail.sender_replay", || {
+        replay_candidate(conn, pre, cfg, &ReplayOptions::default())
+    });
+    FingerprintResult {
         name: cfg.name,
         fit: classify(&analysis),
         analysis,
-    })
+    }
 }
 
 /// Runs every known profile against a connection and sorts the results:
 /// close fits first (by mean response delay), then imperfect, then
-/// clearly incorrect (by number of hard issues).
+/// clearly incorrect (by number of hard issues). The connection is
+/// prescanned once and each candidate replayed over it once (twice when
+/// a sender window is inferred).
 pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
+    let Some(pre) = prescan(conn) else {
+        return Vec::new();
+    };
     let mut results: Vec<FingerprintResult> = all_profiles()
         .iter()
-        .filter_map(|cfg| fingerprint_one(conn, cfg))
+        .map(|cfg| score(conn, &pre, cfg))
         .collect();
-    results.sort_by(|a, b| {
-        a.fit.cmp(&b.fit).then_with(|| match a.fit {
-            FitClass::ClearlyIncorrect => a.analysis.hard_issues().cmp(&b.analysis.hard_issues()),
-            _ => {
-                let ma = a.analysis.response_delays.mean().unwrap_or(Duration::ZERO);
-                let mb = b.analysis.response_delays.mean().unwrap_or(Duration::ZERO);
-                ma.cmp(&mb)
-            }
-        })
+    // A stable sort on keys computed once per candidate.
+    results.sort_by_cached_key(|r| match r.fit {
+        FitClass::ClearlyIncorrect => (r.fit, r.analysis.hard_issues(), Duration::ZERO),
+        _ => {
+            let mean = r.analysis.response_delays.mean().unwrap_or(Duration::ZERO);
+            (r.fit, 0, mean)
+        }
     });
     results
 }
@@ -119,30 +129,33 @@ pub fn close_fits(results: &[FingerprintResult]) -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sender::SenderIssueKind;
+    use crate::sender::{IssueDetail, SenderIssueKind};
 
     fn dummy_analysis(hard: usize, lulls: usize, p90_ms: i64) -> SenderAnalysis {
         let mut response_delays = tcpa_trace::Summary::new();
         for _ in 0..10 {
             response_delays.add(Duration::from_millis(p90_ms));
         }
-        let mut issues = Vec::new();
-        for _ in 0..hard {
-            issues.push(crate::sender::SenderIssue {
-                kind: SenderIssueKind::WindowViolation,
-                index: 0,
-                time: tcpa_trace::Time::ZERO,
-                detail: String::new(),
-            });
-        }
-        for _ in 0..lulls {
-            issues.push(crate::sender::SenderIssue {
-                kind: SenderIssueKind::Lull,
-                index: 0,
-                time: tcpa_trace::Time::ZERO,
-                detail: String::new(),
-            });
-        }
+        let issue = |kind, detail| crate::sender::SenderIssue {
+            kind,
+            index: 0,
+            time: tcpa_trace::Time::ZERO,
+            detail,
+        };
+        let seq = tcpa_wire::SeqNum(0);
+        let overshoot = IssueDetail::Overshoot {
+            hi: seq,
+            permit: seq,
+            cwnd: 0,
+            offered: 0,
+            una: seq,
+        };
+        let lull = IssueDetail::Lull {
+            hi: seq,
+            delay: Duration::ZERO,
+        };
+        let mut issues = vec![issue(SenderIssueKind::WindowViolation, overshoot); hard];
+        issues.extend(vec![issue(SenderIssueKind::Lull, lull); lulls]);
         SenderAnalysis {
             config_name: "test",
             response_delays,

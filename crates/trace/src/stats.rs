@@ -27,6 +27,18 @@ impl Summary {
         self.sorted = false;
     }
 
+    /// Adds one sample at its place in order, so a percentile read right
+    /// after costs no sort. Each insert is a binary search plus a shift,
+    /// which beats re-sorting when percentiles are read between inserts.
+    pub fn insert_sorted(&mut self, d: Duration) {
+        if !self.sorted {
+            self.samples.sort_unstable();
+            self.sorted = true;
+        }
+        let at = self.samples.partition_point(|&s| s <= d);
+        self.samples.insert(at, d);
+    }
+
     /// Number of samples.
     pub fn count(&self) -> usize {
         self.samples.len()
@@ -86,8 +98,8 @@ impl Summary {
             .map(|(i, _)| i)
     }
 
-    /// Borrow of the raw samples, in insertion order unless a percentile
-    /// has been computed since the last insertion.
+    /// Borrow of the raw samples: in ascending order after a percentile
+    /// or an [`Summary::insert_sorted`], otherwise in insertion order.
     pub fn samples(&self) -> &[Duration] {
         &self.samples
     }
@@ -220,6 +232,38 @@ mod tests {
         assert_eq!(s.percentile(95.0), Some(Duration::from_millis(95)));
         assert_eq!(s.percentile(100.0), Some(Duration::from_millis(100)));
         assert_eq!(s.percentile(0.0), Some(Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn insert_sorted_median_tracks_summary_median() {
+        // Negative delays (cured violations), duplicates, and the 1- and
+        // 2-sample cases, checked after every insert.
+        let ms = [5, -3, 5, 0, -3, 12, 5, 7, -1, 100, 5, 0];
+        let (mut running, mut reference) = (Summary::new(), Summary::new());
+        for (n, &v) in ms.iter().enumerate() {
+            running.insert_sorted(Duration::from_millis(v));
+            reference.add(Duration::from_millis(v));
+            let expect = reference.clone().median();
+            assert_eq!(running.median(), expect, "after {} samples", n + 1);
+            assert_eq!(running.percentile(90.0), reference.clone().percentile(90.0));
+        }
+        let mut one = Summary::new();
+        one.insert_sorted(Duration::from_millis(-4));
+        assert_eq!(one.median(), Some(Duration::from_millis(-4)));
+        one.insert_sorted(Duration::from_millis(9));
+        // Nearest rank: the median of two is the lower one.
+        assert_eq!(one.median(), Some(Duration::from_millis(-4)));
+        assert!(running.samples().windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn insert_sorted_after_add_keeps_every_sample() {
+        let mut s = Summary::new();
+        s.add(Duration::from_millis(9));
+        s.add(Duration::from_millis(1));
+        s.insert_sorted(Duration::from_millis(4));
+        let ms: Vec<i64> = s.samples().iter().map(|d| d.0 / 1_000_000).collect();
+        assert_eq!(ms, [1, 4, 9]);
     }
 
     #[test]

@@ -106,6 +106,23 @@ proptest! {
         }
     }
 
+    /// The sender replay's running median: a summary fed by
+    /// `insert_sorted` answers every percentile as `add` + sort does,
+    /// after every insert. The narrow range forces duplicates and
+    /// negative values.
+    #[test]
+    fn insert_sorted_matches_summary_after_every_insert(samples in proptest::collection::vec(-20i64..20, 1..120)) {
+        let mut running = Summary::new();
+        let mut reference = Summary::new();
+        for &v in &samples {
+            running.insert_sorted(Duration(v));
+            reference.add(Duration(v));
+            prop_assert_eq!(running.median(), reference.clone().median());
+            prop_assert_eq!(running.percentile(90.0), reference.clone().percentile(90.0));
+            prop_assert_eq!(running.mean(), reference.mean());
+        }
+    }
+
     #[test]
     fn histogram_conserves_samples(samples in proptest::collection::vec(-50i64..500, 0..200)) {
         let mut h = Histogram::new(Duration::ZERO, Duration::from_millis(50), 8);
