@@ -11,14 +11,19 @@
 //! (§7/§9). With `--impl NAME` it checks a single candidate and prints
 //! the full disagreement detail instead of the ranking.
 //!
-//! With `--jobs N` it switches to batch mode: every argument is a pcap
-//! file or a directory of them, the corpus is analyzed on `N` worker
-//! threads (`0` = one per CPU), and a single merged census is printed.
-//! Batch output is byte-identical for any `N`.
+//! Every argument is a pcap file or a directory of them. Both modes run
+//! the inputs through the one corpus runner (`tcpanaly::corpus`).
+//! Without `--jobs`, each file's report is printed in input order. With
+//! `--jobs N` it switches to batch mode: the corpus is analyzed on `N`
+//! worker threads (`0` = one per CPU), and a single merged census is
+//! printed. Batch output is byte-identical for any `N`.
 //!
 //! `--degrade MODE` decides what a damaged capture does to the run:
 //! `skip` (default) reports it as a failed item, `salvage` recovers what
 //! it can and accounts the damage, `strict` aborts with exit code 3.
+//! `--timeout-secs N` gives each input a deadline that the analysis
+//! checks before each connection and each candidate replay; an overrun
+//! fails that input.
 //!
 //! Observability: `--metrics-out FILE` writes a `tcpa-metrics/v1` JSON
 //! snapshot of every counter and stage histogram, `--audit-dir DIR`
@@ -33,19 +38,21 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 use tcpa_tcpsim::profiles::{all_profiles, profile_by_name};
-use tcpa_trace::pcap_io;
-use tcpa_trace::Connection;
-use tcpa_trace::MemorySource;
-use tcpanaly::corpus::{analyze_corpus, CorpusConfig, DegradePolicy};
+use tcpa_tcpsim::TcpConfig;
+use tcpa_trace::source::pcap_files_in;
+use tcpa_trace::{Loaded, MemorySource, Trace};
+use tcpanaly::calibrate::{SplitTrace, Vantage};
+use tcpanaly::corpus::{
+    analyze_corpus, first_failure, run_items, CorpusConfig, DegradePolicy, ItemOutcome, ItemReport,
+};
 use tcpanaly::fingerprint::{fingerprint_one, fingerprint_receiver};
-use tcpanaly::handshake::analyze_handshake;
-use tcpanaly::obs::{self, audit, log};
+use tcpanaly::obs::{self, log, Deadline, Expired};
 use tcpanaly::report::emit_stdout;
 use tcpanaly::Analyzer;
 
 struct Options {
     vantage: Vantage,
-    implementation: Option<String>,
+    implementation: Option<TcpConfig>,
     handshake: bool,
     receiver_fp: bool,
     jobs: Option<usize>,
@@ -57,13 +64,6 @@ struct Options {
     progress: bool,
     level: log::Level,
     files: Vec<String>,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Vantage {
-    Sender,
-    Receiver,
-    Unknown,
 }
 
 const USAGE: &str = "usage: tcpanaly [options] TRACE.pcap...
@@ -81,17 +81,18 @@ options:
   --degrade MODE          damaged-capture policy: skip (default) reports the
                           item as failed, salvage recovers readable records and
                           accounts the damage, strict aborts the run
-  --timeout-secs N        per-trace analysis watchdog (batch mode); overruns
-                          are reported as timed-out items
+  --timeout-secs N        per-trace analysis deadline, checked between
+                          candidate replays; overruns are reported as
+                          timed-out items
   --metrics-out FILE      write a tcpa-metrics/v1 JSON snapshot of all
                           counters and stage-duration histograms on exit
   --audit-dir DIR         write one tcpa-audit/v1 JSON event log per trace
                           (stage durations, retries, errors, verdicts)
   --trace-out FILE        write the run's span tree as a Chrome trace_event
-                          JSON file (one lane per worker plus the watchdog;
-                          view in Perfetto or chrome://tracing)
-  --progress              print a periodic status line to stderr while a
-                          batch run drains (stdout is never touched)
+                          JSON file (one lane per worker; view in Perfetto
+                          or chrome://tracing)
+  --progress              print a periodic status line to stderr while the
+                          run drains (stdout is never touched)
   --quiet                 only error diagnostics on stderr
   -v / -vv                info / debug diagnostics on stderr
 
@@ -121,7 +122,9 @@ fn parse_args() -> Result<Options, String> {
             "--receiver" => opts.vantage = Vantage::Receiver,
             "--impl" => {
                 let name = args.next().ok_or("--impl requires a name")?;
-                opts.implementation = Some(name);
+                let cfg = profile_by_name(&name)
+                    .ok_or_else(|| format!("unknown implementation {name:?}; try --list-impls"))?;
+                opts.implementation = Some(cfg);
             }
             "--jobs" => {
                 let n = args.next().ok_or("--jobs requires a count")?;
@@ -216,53 +219,40 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Expands batch-mode arguments: files pass through, directories expand to
+/// Expands the file arguments: files pass through, directories expand to
 /// their `*.pcap` entries sorted by name.
-fn expand_corpus_args(args: &[String]) -> Result<Vec<PathBuf>, String> {
+fn expand_args(args: &[String]) -> Result<Vec<PathBuf>, String> {
     let mut paths = Vec::new();
     for arg in args {
         let p = Path::new(arg);
-        if p.is_dir() {
-            let mut in_dir: Vec<PathBuf> = std::fs::read_dir(p)
-                .map_err(|e| format!("{arg}: {e}"))?
-                .filter_map(|entry| entry.ok().map(|e| e.path()))
-                .filter(|p| p.is_file() && p.extension().map(|e| e == "pcap").unwrap_or(false))
-                .collect();
-            in_dir.sort();
-            if in_dir.is_empty() {
-                return Err(format!("{arg}: directory contains no .pcap files"));
-            }
-            paths.extend(in_dir);
-        } else {
+        if !p.is_dir() {
             paths.push(p.to_path_buf());
+            continue;
         }
+        let in_dir = pcap_files_in(p).map_err(|e| format!("{arg}: {e}"))?;
+        if in_dir.is_empty() {
+            return Err(format!("{arg}: directory contains no .pcap files"));
+        }
+        paths.extend(in_dir);
     }
     Ok(paths)
 }
 
-/// Batch mode: analyze the whole corpus in parallel, print one census.
-/// Exit code 0 when every item analyzed (possibly salvaged), 1 when any
-/// failed, 3 when a strict-policy run aborted on a malformed capture.
-fn run_batch(opts: &Options, jobs: usize) -> ExitCode {
-    let paths = match expand_corpus_args(&opts.files) {
+/// Runs every input through the corpus runner: batch mode prints one
+/// census, single-file mode each file's report in input order. Exit code
+/// 0 when every item analyzed (possibly salvaged), 1 when any failed, 3
+/// when a strict-policy run aborted on a malformed capture.
+fn run(opts: &Options) -> ExitCode {
+    let paths = match expand_args(&opts.files) {
         Ok(p) => p,
         Err(e) => {
             log::error(&format!("{e}\n{USAGE}"));
             return ExitCode::from(2);
         }
     };
-    log::info(&format!(
-        "batch mode: {} traces, {jobs} jobs, degrade={}",
-        paths.len(),
-        opts.degrade
-    ));
     let config = CorpusConfig {
-        jobs,
-        vantage: match opts.vantage {
-            Vantage::Sender => tcpanaly::calibrate::Vantage::Sender,
-            Vantage::Receiver => tcpanaly::calibrate::Vantage::Receiver,
-            Vantage::Unknown => tcpanaly::calibrate::Vantage::Unknown,
-        },
+        jobs: opts.jobs.unwrap_or(1),
+        vantage: opts.vantage,
         degrade: opts.degrade,
         timeout: opts.timeout_secs.map(std::time::Duration::from_secs),
         audit_dir: opts.audit_dir.clone(),
@@ -271,220 +261,189 @@ fn run_batch(opts: &Options, jobs: usize) -> ExitCode {
             .then(|| std::time::Duration::from_millis(500)),
         ..CorpusConfig::default()
     };
-    // A panicking trace is reported in the census as a failed item; keep
-    // the default hook from interleaving backtrace noise with the report.
+    let traces = paths.len();
+    let source = MemorySource::from_pcap_files(paths);
+    // A panicking trace is reported as a failed item; keep the default
+    // hook from interleaving backtrace noise with the report.
     let prior_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let report = analyze_corpus(MemorySource::from_pcap_files(paths), &config);
+    let code = match opts.jobs {
+        Some(jobs) => {
+            log::info(&format!(
+                "batch mode: {traces} traces, {jobs} jobs, degrade={}",
+                opts.degrade
+            ));
+            let report = analyze_corpus(source, &config);
+            emit_stdout(&report.render());
+            exit_code(&report.items, report.aborted)
+        }
+        None => {
+            let (items, aborted) = run_items(source, &config, |id, loaded, deadline| {
+                render_file(opts, id, loaded, deadline)
+            });
+            for item in &items {
+                match &item.outcome {
+                    ItemOutcome::Analyzed(text) | ItemOutcome::Salvaged { summary: text, .. } => {
+                        emit_stdout(text)
+                    }
+                    ItemOutcome::Failed(e) => log::error(&format!("{}: {e}", item.id)),
+                }
+            }
+            exit_code(&items, aborted)
+        }
+    };
     std::panic::set_hook(prior_hook);
-    emit_stdout(&report.render());
-    if report.aborted {
-        if let Some(first) = report.first_failure() {
-            log::error(&format!(
-                "strict mode aborted on {}: {}",
-                first.id,
-                match &first.outcome {
-                    tcpanaly::corpus::ItemOutcome::Failed(e) => e.to_string(),
-                    _ => String::new(),
-                }
-            ));
+    code
+}
+
+/// The exit code of a finished run, logging the capture a strict-mode
+/// abort stopped on.
+fn exit_code<T>(items: &[ItemReport<T>], aborted: bool) -> ExitCode {
+    match first_failure(items) {
+        Some(first) if aborted => {
+            if let ItemOutcome::Failed(e) = &first.outcome {
+                log::error(&format!("strict mode aborted on {}: {e}", first.id));
+            }
+            ExitCode::from(3)
         }
-        return ExitCode::from(3);
-    }
-    if report.census.failed() > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        Some(_) => ExitCode::FAILURE,
+        None => ExitCode::SUCCESS,
     }
 }
 
-/// Why a single-file analysis failed; `malformed` drives the strict-mode
-/// abort in `main`.
-struct FileFailure {
-    message: String,
-    malformed: bool,
+fn vantage_line(vantage: Vantage) -> String {
+    format!("vantage: auto-detected {vantage:?} (override with --sender/--receiver)\n")
 }
 
-fn analyze_file(path: &str, opts: &Options) -> Result<(), FileFailure> {
-    let bytes = std::fs::read(path).map_err(|e| FileFailure {
-        message: format!("{path}: {e}"),
-        malformed: false,
-    })?;
-    let trace = match opts.degrade {
-        DegradePolicy::Salvage => {
-            let (trace, report) = pcap_io::read_pcap_salvage_bytes(&bytes);
-            emit_stdout(&format!("== {path}: {report}\n"));
-            trace
-        }
-        DegradePolicy::Strict | DegradePolicy::Skip => {
-            match pcap_io::read_pcap(std::io::Cursor::new(bytes.as_slice())) {
-                Ok((trace, skipped)) => {
-                    emit_stdout(&format!(
-                        "== {path}: {} records ({skipped} non-TCP skipped)\n",
-                        trace.len()
-                    ));
-                    trace
-                }
-                Err(tcpa_wire::pcap::PcapError::Io(e)) => {
-                    return Err(FileFailure {
-                        message: format!("{path}: {e}"),
-                        malformed: false,
-                    })
-                }
-                Err(e) => {
-                    return Err(FileFailure {
-                        message: format!("{path}: {e}"),
-                        malformed: true,
-                    })
-                }
-            }
-        }
+/// What single-file mode prints for one loaded capture.
+fn render_file(
+    opts: &Options,
+    id: &str,
+    loaded: &Loaded,
+    deadline: Deadline,
+) -> Result<String, Expired> {
+    let mut out = match &loaded.salvage {
+        Some(report) => format!("== {id}: {report}\n"),
+        None => format!(
+            "== {id}: {} records ({} non-TCP skipped)\n",
+            loaded.trace.len(),
+            loaded.non_tcp_skipped
+        ),
     };
-
-    let analyzer = match opts.vantage {
-        Vantage::Sender => Analyzer::at_sender(),
-        Vantage::Receiver => Analyzer::at_receiver(),
-        Vantage::Unknown => {
-            let a = Analyzer::auto(&trace);
-            emit_stdout(&format!(
-                "vantage: auto-detected {:?} (override with --sender/--receiver)\n",
-                a.vantage()
-            ));
-            a
-        }
-    };
-
-    if let Some(name) = &opts.implementation {
-        let cfg = profile_by_name(name).ok_or_else(|| FileFailure {
-            message: format!("unknown implementation {name:?}; try --list-impls"),
-            malformed: false,
-        })?;
-        let (clean, cal) = tcpanaly::Calibrator::new().calibrate(&trace);
-        if !cal.is_clean() {
-            emit_stdout(&format!(
-                "calibration: {} dups removed, {} time travel, {} reseq, {} drop evidence\n",
-                cal.duplicates.len(),
-                cal.time_travel.len(),
-                cal.resequencing.len(),
-                cal.drop_evidence.len()
-            ));
-        }
-        for conn in Connection::split(&clean) {
-            emit_stdout(&format!(
-                "-- connection {} -> {}\n",
-                conn.sender, conn.receiver
-            ));
-            match fingerprint_one(&conn, &cfg) {
-                None => emit_stdout("   no analyzable bulk data\n"),
-                Some(fit) => {
-                    let mut delays = fit.analysis.response_delays.clone();
-                    emit_stdout(&format!(
-                        "   {}: {} — {} issues, delays p50 {} p90 {}\n",
-                        cfg.name,
-                        fit.fit,
-                        fit.analysis.issues.len(),
-                        delays.median().map(|d| d.to_string()).unwrap_or_default(),
-                        delays
-                            .percentile(90.0)
-                            .map(|d| d.to_string())
-                            .unwrap_or_default()
-                    ));
-                    for issue in fit.analysis.issues.iter().take(10) {
-                        emit_stdout(&format!(
-                            "   {:?} @{}: {}\n",
-                            issue.kind, issue.time, issue.detail
-                        ));
-                    }
-                    if fit.analysis.issues.len() > 10 {
-                        emit_stdout(&format!("   … {} more\n", fit.analysis.issues.len() - 10));
-                    }
-                }
-            }
-        }
-        return Ok(());
+    if let Some(cfg) = &opts.implementation {
+        render_candidate(&mut out, opts.vantage, cfg, &loaded.trace, deadline)?;
+        return Ok(out);
     }
-
-    let report = analyzer.analyze(&trace);
-    emit_stdout(&report.render());
-
-    if opts.handshake || opts.receiver_fp {
-        let (clean, _) = tcpanaly::Calibrator::new().calibrate(&trace);
-        for conn in Connection::split(&clean) {
-            if opts.handshake {
-                match analyze_handshake(&conn) {
-                    Some(h) => emit_stdout(&format!(
-                        "handshake {} -> {}: {} retries, initial RTO {}, backoff {:?}\n",
-                        conn.sender,
-                        conn.receiver,
-                        h.retries(),
-                        h.initial_rto
-                            .map(|d| d.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                        h.shape
-                    )),
-                    None => emit_stdout("handshake: no SYN captured\n"),
-                }
+    let analysis = Analyzer::from(opts.vantage).analyze_within(&loaded.trace, deadline)?;
+    if opts.vantage == Vantage::Unknown {
+        out.push_str(&vantage_line(analysis.vantage));
+    }
+    out.push_str(&analysis.report.render());
+    if !(opts.handshake || opts.receiver_fp) {
+        return Ok(out);
+    }
+    for (conn, report) in analysis
+        .connections
+        .iter()
+        .zip(&analysis.report.connections)
+    {
+        if opts.handshake {
+            match &report.handshake {
+                Some(h) => out.push_str(&format!(
+                    "handshake {}: {} retries, initial RTO {}, backoff {:?}\n",
+                    report.description,
+                    h.retries(),
+                    h.initial_rto
+                        .map(|d| d.to_string())
+                        .unwrap_or_else(|| "-".into()),
+                    h.shape
+                )),
+                None => out.push_str("handshake: no SYN captured\n"),
             }
-            if opts.receiver_fp {
-                emit_stdout("receiver-side candidates (consistent first):\n");
-                for fit in fingerprint_receiver(&conn).iter().take(8) {
-                    emit_stdout(&format!(
-                        "  {:<22} {}\n",
-                        fit.name,
-                        if fit.consistent {
-                            "consistent".to_string()
-                        } else {
-                            format!("contradicted: {}", fit.contradictions.join("; "))
-                        }
-                    ));
-                }
+        }
+        if opts.receiver_fp {
+            // From a receiver vantage the report already holds the ranking.
+            let computed;
+            let fits = if analysis.vantage == Vantage::Receiver {
+                &report.receiver_fingerprint
+            } else {
+                computed = fingerprint_receiver(conn);
+                &computed
+            };
+            out.push_str("receiver-side candidates (consistent first):\n");
+            for fit in fits.iter().take(8) {
+                out.push_str(&format!(
+                    "  {:<22} {}\n",
+                    fit.name,
+                    if fit.consistent {
+                        "consistent".to_string()
+                    } else {
+                        format!("contradicted: {}", fit.contradictions.join("; "))
+                    }
+                ));
             }
+        }
+    }
+    Ok(out)
+}
+
+/// `--impl`: one candidate against every connection, with the full
+/// disagreement detail.
+fn render_candidate(
+    out: &mut String,
+    vantage: Vantage,
+    cfg: &TcpConfig,
+    trace: &Trace,
+    deadline: Deadline,
+) -> Result<(), Expired> {
+    let split = SplitTrace::of(trace);
+    if vantage == Vantage::Unknown {
+        out.push_str(&vantage_line(split.infer_vantage()));
+    }
+    // A single-candidate check runs only the vantage-neutral drop checks.
+    let cal = split.calibrate(Vantage::Unknown);
+    if !cal.is_clean() {
+        out.push_str(&format!(
+            "calibration: {} dups removed, {} time travel, {} reseq, {} drop evidence\n",
+            cal.duplicates.len(),
+            cal.time_travel.len(),
+            cal.resequencing.len(),
+            cal.drop_evidence.len()
+        ));
+    }
+    for conn in &split.connections {
+        deadline.check()?;
+        out.push_str(&format!(
+            "-- connection {} -> {}\n",
+            conn.sender, conn.receiver
+        ));
+        let Some(fit) = fingerprint_one(conn, cfg) else {
+            out.push_str("   no analyzable bulk data\n");
+            continue;
+        };
+        let mut delays = fit.analysis.response_delays.clone();
+        out.push_str(&format!(
+            "   {}: {} — {} issues, delays p50 {} p90 {}\n",
+            cfg.name,
+            fit.fit,
+            fit.analysis.issues.len(),
+            delays.median().map(|d| d.to_string()).unwrap_or_default(),
+            delays
+                .percentile(90.0)
+                .map(|d| d.to_string())
+                .unwrap_or_default()
+        ));
+        for issue in fit.analysis.issues.iter().take(10) {
+            out.push_str(&format!(
+                "   {:?} @{}: {}\n",
+                issue.kind, issue.time, issue.detail
+            ));
+        }
+        if fit.analysis.issues.len() > 10 {
+            out.push_str(&format!("   … {} more\n", fit.analysis.issues.len() - 10));
         }
     }
     Ok(())
-}
-
-/// Single-file mode: analyze each file in turn, with a per-file audit
-/// trail when `--audit-dir` is set.
-fn run_files(opts: &Options) -> ExitCode {
-    let mut failed = false;
-    for (index, file) in opts.files.iter().enumerate() {
-        if opts.audit_dir.is_some() {
-            audit::begin(file.as_str(), index as u64);
-        }
-        obs::trace::begin_item(file.as_str(), index as u64);
-        let mut item_span = obs::span("corpus.item");
-        item_span.note(file.as_str());
-        let result = analyze_file(file, opts);
-        drop(item_span);
-        obs::trace::end_item();
-        let outcome = match &result {
-            Ok(()) => "analyzed".to_string(),
-            Err(e) => {
-                let class = if e.malformed { "malformed" } else { "io" };
-                audit::event(audit::EventKind::Error, class, e.message.clone());
-                format!("failed.{class}")
-            }
-        };
-        if let (Some(trail), Some(dir)) = (audit::take(&outcome), opts.audit_dir.as_deref()) {
-            if let Err(e) = trail.write_to(dir) {
-                log::warn(&format!("audit trail for {file} not written: {e}"));
-            }
-        }
-        if let Err(e) = result {
-            log::error(&e.message);
-            if e.malformed && opts.degrade == DegradePolicy::Strict {
-                log::error(&format!("strict mode aborted on {file}"));
-                return ExitCode::from(3);
-            }
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// Writes the `tcpa-metrics/v1` snapshot of the whole run.
@@ -531,10 +490,7 @@ fn main() -> ExitCode {
     if opts.trace_out.is_some() {
         obs::trace::enable();
     }
-    let code = match opts.jobs {
-        Some(jobs) => run_batch(&opts, jobs),
-        None => run_files(&opts),
-    };
+    let code = run(&opts);
     if let Some(path) = &opts.trace_out {
         if let Err(e) = write_trace_out(path) {
             log::error(&format!("trace: {e}"));

@@ -7,7 +7,7 @@ pub mod reseq;
 pub mod timing;
 pub mod vantage;
 
-use tcpa_trace::{Connection, Trace};
+use tcpa_trace::{Connection, Trace, TraceRecord};
 
 pub use drops::{DropCheck, DropEvidence, Vantage};
 pub use dups::DupRemoval;
@@ -45,6 +45,85 @@ impl CalibrationReport {
     }
 }
 
+/// A trace with its measurement duplicates removed (§3.1.2), split into
+/// connections: the one split that vantage inference, the calibration
+/// detectors and every per-connection stage read.
+#[derive(Debug)]
+pub struct SplitTrace<'a> {
+    trace: &'a Trace,
+    /// Per record of `trace`: a duplicate that was removed.
+    removed: Vec<bool>,
+    /// The duplicates that were removed.
+    pub duplicates: Vec<DupRemoval>,
+    /// The surviving records split into connections, in first-seen order.
+    pub connections: Vec<Connection>,
+}
+
+impl<'a> SplitTrace<'a> {
+    /// Removes measurement duplicates and splits what is left.
+    pub fn of(trace: &'a Trace) -> SplitTrace<'a> {
+        let (removed, duplicates) = dups::find_duplicates(trace);
+        let mut split = SplitTrace {
+            trace,
+            removed,
+            duplicates,
+            connections: Vec::new(),
+        };
+        split.connections = Connection::split_records(split.survivors());
+        split
+    }
+
+    /// The records that survived de-duplication, in filter order.
+    fn survivors(&self) -> impl Iterator<Item = &'a TraceRecord> + '_ {
+        self.trace
+            .iter()
+            .zip(&self.removed)
+            .filter(|(_, &gone)| !gone)
+            .map(|(rec, _)| rec)
+    }
+
+    /// The trace with exactly one record per wire packet.
+    pub fn clean(&self) -> Trace {
+        self.survivors().cloned().collect()
+    }
+
+    /// Infers where the filter sat (§3.2): each connection votes with
+    /// [`infer_vantage`]; a tie, or no vote at all, is unknown.
+    pub fn infer_vantage(&self) -> Vantage {
+        let mut votes = (0usize, 0usize);
+        for conn in &self.connections {
+            match infer_vantage(conn).vantage {
+                Vantage::Sender => votes.0 += 1,
+                Vantage::Receiver => votes.1 += 1,
+                Vantage::Unknown => {}
+            }
+        }
+        match votes.0.cmp(&votes.1) {
+            core::cmp::Ordering::Greater => Vantage::Sender,
+            core::cmp::Ordering::Less => Vantage::Receiver,
+            core::cmp::Ordering::Equal => Vantage::Unknown,
+        }
+    }
+
+    /// Runs every calibration detector from `vantage`, which gates the
+    /// vantage-specific drop checks.
+    pub fn calibrate(&self, vantage: Vantage) -> CalibrationReport {
+        let mut report = CalibrationReport {
+            duplicates: self.duplicates.clone(),
+            time_travel: timing::time_travel_in(self.survivors()),
+            resequencing: Vec::new(),
+            drop_evidence: Vec::new(),
+        };
+        for conn in &self.connections {
+            report.resequencing.extend(reseq::detect_resequencing(conn));
+            report
+                .drop_evidence
+                .extend(drops::detect_drops(conn, vantage));
+        }
+        report
+    }
+}
+
 /// Runs all calibration stages on a trace, returning the *cleaned* trace
 /// (duplicates removed) alongside the report.
 #[derive(Debug, Clone, Default)]
@@ -77,22 +156,7 @@ impl Calibrator {
     /// Calibrates a trace: removes measurement duplicates, then runs every
     /// detector on the cleaned trace.
     pub fn calibrate(&self, trace: &Trace) -> (Trace, CalibrationReport) {
-        let (clean, duplicates) = dups::remove_duplicates(trace);
-        let time_travel = timing::detect_time_travel(&clean);
-        let mut report = CalibrationReport {
-            duplicates,
-            time_travel,
-            resequencing: Vec::new(),
-            drop_evidence: Vec::new(),
-        };
-        for conn in Connection::split(&clean) {
-            report
-                .resequencing
-                .extend(reseq::detect_resequencing(&conn));
-            report
-                .drop_evidence
-                .extend(drops::detect_drops(&conn, self.vantage));
-        }
-        (clean, report)
+        let split = SplitTrace::of(trace);
+        (split.clean(), split.calibrate(self.vantage))
     }
 }

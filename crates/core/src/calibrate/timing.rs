@@ -11,7 +11,7 @@
 //! \[Pa97b\]; this reproduction, like tcpanaly's single-trace check,
 //! reports backward steps only.)
 
-use tcpa_trace::{Duration, Trace};
+use tcpa_trace::{Duration, Trace, TraceRecord};
 
 /// One observed backward timestamp step.
 #[derive(Debug, Clone)]
@@ -24,22 +24,27 @@ pub struct TimeTravel {
 
 /// Scans for decreasing timestamps.
 pub fn detect_time_travel(trace: &Trace) -> Vec<TimeTravel> {
-    trace
-        .records
-        .windows(2)
-        .enumerate()
-        .filter_map(|(i, w)| {
-            let delta = w[1].ts - w[0].ts;
+    time_travel_in(trace.iter())
+}
+
+/// [`detect_time_travel`] over records given in filter order; indices
+/// count positions in that sequence.
+pub fn time_travel_in<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Vec<TimeTravel> {
+    let mut found = Vec::new();
+    let mut prev: Option<tcpa_trace::Time> = None;
+    for (index, rec) in records.into_iter().enumerate() {
+        if let Some(prev) = prev {
+            let delta = rec.ts - prev;
             if delta.is_negative() {
-                Some(TimeTravel {
-                    index: i + 1,
+                found.push(TimeTravel {
+                    index,
                     magnitude: -delta,
-                })
-            } else {
-                None
+                });
             }
-        })
-        .collect()
+        }
+        prev = Some(rec.ts);
+    }
+    found
 }
 
 #[cfg(test)]

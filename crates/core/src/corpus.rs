@@ -1,11 +1,20 @@
-//! Corpus-scale batch analysis (§8–§10 at production size).
+//! Corpus-scale batch analysis (§8–§10 at production size), and the one
+//! place an input becomes an analyzed trace.
 //!
 //! The paper's behavioral catalogues came from ~40,000 traces; one trace
 //! at a time on one thread does not get there. This module shards a
 //! corpus of traces — supplied by any
 //! [`TraceSource`](tcpa_trace::source::TraceSource) — across `N` worker
-//! threads (plain `std::thread` + channels, no external runtime) and
-//! merges the per-trace conclusions into a Table-1-style census.
+//! threads (plain `std::thread` + channels, no external runtime; one job
+//! runs on the calling thread) and merges the per-trace conclusions into
+//! a Table-1-style census.
+//!
+//! [`run_items`] is the per-item step both `tcpanaly` modes share: load
+//! with retry, apply the degrade policy, isolate panics, bracket the
+//! item's audit trail and trace record, and return results in input
+//! order. What each item produces is up to the caller: the batch census
+//! ([`analyze_corpus`]) folds each item into an [`ItemSummary`], while
+//! single-file mode renders each file's report text.
 //!
 //! Guarantees the rest of the system builds on:
 //!
@@ -21,10 +30,13 @@
 //!   records analyzed and the damage accounted
 //!   ([`DegradePolicy::Salvage`]).
 //! * **Bounded patience** — transient I/O errors are retried with
-//!   backoff; a per-item wall-clock watchdog (when configured) converts a
-//!   wedged analysis into a [`AnalysisError::Timeout`] failure.
-//! * **Worker reuse** — each worker keeps one [`Analyzer`] (and its
-//!   vantage) for its whole life; per-trace setup is just the trace load.
+//!   backoff; a per-item [`Deadline`] (when configured), which the
+//!   analysis checks before each connection and each candidate replay,
+//!   turns an overrun into an [`AnalysisError::Timeout`] failure on the
+//!   worker's own thread. No thread is ever left running.
+//! * **One pass per trace** — each trace is loaded, de-duplicated, split
+//!   and calibrated once; an unknown vantage is inferred from that same
+//!   split ([`Analyzer::analyze_within`]).
 //! * **Observability** — every stage records into the global
 //!   [`tcpa_obs`] registry (counters for retries, timeouts, panics,
 //!   degrade outcomes and salvage losses; log-bucket histograms for
@@ -46,10 +58,10 @@ use crate::fingerprint::FitClass;
 use crate::report::{AnalysisReport, Analyzer};
 use tcpa_obs::audit::{self, AuditTrail, EventKind};
 use tcpa_obs::progress::{ItemClass, Progress};
-use tcpa_obs::trace;
+use tcpa_obs::{trace, Deadline, Expired};
 use tcpa_trace::pcap_io::IngestReport;
 use tcpa_trace::source::{CorpusItem, LoadError, LoadMode, Loaded, TraceInput, TraceSource};
-use tcpa_trace::{Duration, Summary, Trace};
+use tcpa_trace::{Duration, Summary};
 
 /// What to do with a damaged (malformed but partially recoverable)
 /// capture. Clean traces behave identically under every policy.
@@ -112,10 +124,10 @@ pub struct CorpusConfig {
     /// How damaged captures are treated.
     pub degrade: DegradePolicy,
     /// Per-item wall-clock budget for the analysis step. `None` (the
-    /// default) runs inline with no watchdog; `Some(d)` runs each
-    /// analysis on a watchdog thread and converts overruns into
-    /// [`AnalysisError::Timeout`]. A timed-out analysis thread is
-    /// detached, not killed — the item is reported and the run moves on.
+    /// default) never expires; `Some(d)` gives each item a [`Deadline`]
+    /// `d` after its load, which the analysis checks before each
+    /// connection and each candidate replay. An overrun stops the
+    /// analysis there and reports [`AnalysisError::Timeout`].
     pub timeout: Option<std::time::Duration>,
     /// Retries for *transient* I/O errors (interrupted, would-block,
     /// timed out) when loading a trace. Non-transient errors (not found,
@@ -226,16 +238,17 @@ impl AnalysisError {
     }
 }
 
-/// What happened to one corpus item.
+/// What happened to one corpus item; `T` is what the item's analysis
+/// produced.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ItemOutcome {
+pub enum ItemOutcome<T = ItemSummary> {
     /// Analyzed successfully from an undamaged trace.
-    Analyzed(ItemSummary),
+    Analyzed(T),
     /// The capture was damaged; the salvaged records were analyzed and
     /// the degradation is accounted in `report`.
     Salvaged {
         /// Conclusions from the recovered records.
-        summary: ItemSummary,
+        summary: T,
         /// The ingest ledger: bytes skipped, damage classes, offsets.
         report: IngestReport,
     },
@@ -243,7 +256,7 @@ pub enum ItemOutcome {
     Failed(AnalysisError),
 }
 
-impl ItemOutcome {
+impl<T> ItemOutcome<T> {
     /// `true` when the item produced an analysis (possibly degraded).
     pub fn is_success(&self) -> bool {
         matches!(
@@ -302,13 +315,13 @@ impl ItemOutcome {
 
 /// Per-item result, in input order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ItemReport {
+pub struct ItemReport<T = ItemSummary> {
     /// Position in the corpus (0-based input order).
     pub index: usize,
     /// The item's label (file path or synthetic name).
     pub id: String,
     /// What happened.
-    pub outcome: ItemOutcome,
+    pub outcome: ItemOutcome<T>,
 }
 
 /// The distilled per-trace conclusions kept by the census. The full
@@ -502,7 +515,7 @@ impl CorpusReport {
     /// The lowest-index failed item, if any (under strict policy, the
     /// malformed capture that stopped the run).
     pub fn first_failure(&self) -> Option<&ItemReport> {
-        self.items.iter().find(|r| !r.outcome.is_success())
+        first_failure(&self.items)
     }
 
     /// Renders the Table-1-style census plus a failure list. Deterministic:
@@ -597,13 +610,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Analyzes one loaded trace with a vantage-appropriate analyzer.
-fn analyze_one(fixed: Option<&Analyzer>, trace: &Trace) -> ItemSummary {
-    let report = match fixed {
-        Some(analyzer) => analyzer.analyze(trace),
-        None => Analyzer::auto(trace).analyze(trace),
-    };
-    distill(&report, trace.len())
+/// The lowest-index failed item of an ordered run, if any.
+pub fn first_failure<T>(items: &[ItemReport<T>]) -> Option<&ItemReport<T>> {
+    items.iter().find(|r| !r.outcome.is_success())
 }
 
 /// Loads one input under the policy's load mode, retrying transient I/O
@@ -644,133 +653,77 @@ fn load_item(config: &CorpusConfig, input: &TraceInput) -> Result<Loaded, Analys
     }
 }
 
-/// Runs the analysis step, optionally under a wall-clock watchdog.
-///
-/// With a timeout, analysis runs on a dedicated thread; on overrun the
-/// thread is detached (it cannot be killed) and the item is reported as
-/// timed out — the worker moves on. Because the audit trail is
-/// thread-local, the watchdog thread opens its own trail and ships it
-/// back with the result so stage events survive the thread hop; a
-/// timed-out analysis necessarily loses its in-flight stage events.
-fn analyze_guarded(
-    fixed: Option<&Analyzer>,
-    vantage: Vantage,
-    timeout: Option<std::time::Duration>,
-    trace: Trace,
-) -> Result<ItemSummary, AnalysisError> {
-    match timeout {
-        None => catch_unwind(AssertUnwindSafe(|| analyze_one(fixed, &trace))).map_err(|p| {
-            AnalysisError::Panicked {
-                message: panic_message(p),
-            }
-        }),
-        Some(limit) => {
-            let auditing = audit::is_active();
-            // The span tree crosses the thread boundary explicitly: the
-            // watchdog adopts this item's context (same id counter, its
-            // spans parented under our open span) so the tree stays
-            // connected. A timed-out watchdog is detached before it
-            // flushes; its in-flight spans are lost, like its audit
-            // events.
-            let traced = trace::handoff();
-            let (tx, rx) = mpsc::channel();
-            let spawned = thread::Builder::new()
-                .name("tcpanaly-watchdog".into())
-                .spawn(move || {
-                    if auditing {
-                        audit::begin("<watchdog>", 0);
-                    }
-                    let adopted = traced.is_some();
-                    if let Some(ctx) = traced {
-                        trace::adopt(ctx);
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let fixed = match vantage {
-                            Vantage::Sender => Some(Analyzer::at_sender()),
-                            Vantage::Receiver => Some(Analyzer::at_receiver()),
-                            Vantage::Unknown => None,
-                        };
-                        analyze_one(fixed.as_ref(), &trace)
-                    }));
-                    let trail = audit::take("");
-                    if adopted {
-                        trace::finish_adopted();
-                    }
-                    let _ = tx.send((result.map_err(panic_message), trail));
-                });
-            if spawned.is_err() {
-                return Err(AnalysisError::Io {
-                    detail: "could not spawn watchdog thread".into(),
-                });
-            }
-            match rx.recv_timeout(limit) {
-                Ok((result, inner)) => {
-                    if let Some(inner) = inner {
-                        audit::absorb(inner);
-                    }
-                    match result {
-                        Ok(summary) => Ok(summary),
-                        Err(message) => Err(AnalysisError::Panicked { message }),
-                    }
-                }
-                Err(_) => {
-                    trace::instant("timeout", &format!("limit {} ms", limit.as_millis()));
-                    Err(AnalysisError::Timeout {
-                        limit_ms: limit.as_millis() as u64,
-                    })
-                }
-            }
-        }
-    }
-}
-
 /// Loads and analyzes one item, converting every failure mode — panic,
 /// I/O, malformed bytes, timeout — into a reported outcome. When
 /// `config.audit_dir` is set, the item's whole trip is recorded into an
 /// audit trail (returned sealed, for the worker to write out).
-fn process_item(
+fn process_item<T>(
     config: &CorpusConfig,
-    fixed: Option<&Analyzer>,
+    analyze: &(impl Fn(&str, &Loaded, Deadline) -> Result<T, Expired> + Sync),
     index: usize,
     id: &str,
     input: &TraceInput,
-) -> (ItemOutcome, Option<AuditTrail>) {
+) -> (ItemOutcome<T>, Option<AuditTrail>) {
     if config.audit_dir.is_some() {
         audit::begin(id, index as u64);
     }
     trace::begin_item(id, index as u64);
     let outcome = {
         // The item's root span: every stage span and fault instant below
-        // (including the watchdog's, via handoff) parents under it.
+        // parents under it.
         let mut root = tcpa_obs::span("corpus.item");
         root.note(id);
-        let outcome = process_item_inner(config, fixed, input);
-        match &outcome {
-            ItemOutcome::Salvaged { report, .. } => {
-                trace::instant("salvage", &report.to_string());
-            }
-            ItemOutcome::Failed(e) => {
-                trace::instant("degrade", &format!("{}: {e}", e.class()));
-            }
-            ItemOutcome::Analyzed(_) => {}
+        let outcome = load_and_analyze(config, analyze, id, input);
+        if let ItemOutcome::Failed(e) = &outcome {
+            trace::instant("degrade", &format!("{}: {e}", e.class()));
         }
         outcome
     };
-    match &outcome {
-        ItemOutcome::Salvaged { summary, report } => {
-            audit::event(EventKind::Info, "ingest.salvage", report.to_string());
-            audit::event(EventKind::Verdict, "summary", summarize(summary));
-        }
-        ItemOutcome::Analyzed(summary) => {
-            audit::event(EventKind::Verdict, "summary", summarize(summary));
-        }
-        ItemOutcome::Failed(e) => {
-            audit::event(EventKind::Error, e.class(), e.to_string());
-        }
+    if let ItemOutcome::Failed(e) = &outcome {
+        audit::event(EventKind::Error, e.class(), e.to_string());
     }
     let trail = audit::take(&outcome.name());
     trace::end_item();
     (outcome, trail)
+}
+
+fn load_and_analyze<T>(
+    config: &CorpusConfig,
+    analyze: &(impl Fn(&str, &Loaded, Deadline) -> Result<T, Expired> + Sync),
+    id: &str,
+    input: &TraceInput,
+) -> ItemOutcome<T> {
+    // Load (with retry). The load itself is panic-isolated: a poisoned
+    // item must cost one item, not the worker.
+    let loaded = match catch_unwind(AssertUnwindSafe(|| load_item(config, input))) {
+        Ok(Ok(loaded)) => loaded,
+        Ok(Err(e)) => return ItemOutcome::Failed(e),
+        Err(payload) => {
+            return ItemOutcome::Failed(AnalysisError::Panicked {
+                message: panic_message(payload),
+            })
+        }
+    };
+    let damage = loaded.salvage.as_ref().filter(|r| !r.is_clean()).cloned();
+    if let Some(report) = &damage {
+        trace::instant("salvage", &report.to_string());
+        audit::event(EventKind::Info, "ingest.salvage", report.to_string());
+    }
+    let deadline = Deadline::after(config.timeout);
+    match catch_unwind(AssertUnwindSafe(|| analyze(id, &loaded, deadline))) {
+        Ok(Ok(summary)) => match damage {
+            Some(report) => ItemOutcome::Salvaged { summary, report },
+            None => ItemOutcome::Analyzed(summary),
+        },
+        Ok(Err(Expired)) => {
+            let limit_ms = config.timeout.map_or(0, |t| t.as_millis() as u64);
+            trace::instant("timeout", &format!("limit {limit_ms} ms"));
+            ItemOutcome::Failed(AnalysisError::Timeout { limit_ms })
+        }
+        Err(payload) => ItemOutcome::Failed(AnalysisError::Panicked {
+            message: panic_message(payload),
+        }),
+    }
 }
 
 /// One line of verdict detail for the audit trail.
@@ -789,139 +742,162 @@ fn summarize(s: &ItemSummary) -> String {
     )
 }
 
-fn process_item_inner(
-    config: &CorpusConfig,
-    fixed: Option<&Analyzer>,
-    input: &TraceInput,
-) -> ItemOutcome {
-    // Load (with retry). The load itself is panic-isolated: a poisoned
-    // item must cost one item, not the worker.
-    let loaded = match catch_unwind(AssertUnwindSafe(|| load_item(config, input))) {
-        Ok(Ok(loaded)) => loaded,
-        Ok(Err(e)) => return ItemOutcome::Failed(e),
-        Err(payload) => {
-            return ItemOutcome::Failed(AnalysisError::Panicked {
-                message: panic_message(payload),
-            })
-        }
-    };
-    let Loaded { trace, salvage } = loaded;
-    let damage = salvage.filter(|r| !r.is_clean());
-    match analyze_guarded(fixed, config.vantage, config.timeout, trace) {
-        Ok(summary) => match damage {
-            Some(report) => ItemOutcome::Salvaged { summary, report },
-            None => ItemOutcome::Analyzed(summary),
-        },
-        Err(e) => ItemOutcome::Failed(e),
-    }
-}
-
 struct Cursor<S> {
     source: S,
     next_index: usize,
 }
 
-/// Runs the corpus through `config.effective_jobs()` workers and merges
-/// the results deterministically.
-///
-/// Workers pull items from the source behind a mutex (pulling is cheap;
-/// loading and analysis happen outside the lock), analyze them with a
-/// per-worker [`Analyzer`], and send `(index, outcome)` down a channel.
-/// The caller's thread collects everything and restores input order, so
-/// the returned [`CorpusReport`] — and its rendering — is byte-identical
-/// to a `jobs = 1` run. Under [`DegradePolicy::Strict`] the first
-/// malformed capture raises an abort flag; workers stop pulling and the
-/// report is marked [`CorpusReport::aborted`].
-pub fn analyze_corpus<S: TraceSource>(source: S, config: &CorpusConfig) -> CorpusReport {
-    let jobs = config.effective_jobs().max(1);
-    let total_hint = source.len_hint();
-    let cursor = Mutex::new(Cursor {
-        source,
-        next_index: 0,
-    });
-    let abort = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<ItemReport>();
-    let mut progress = config
-        .progress
-        .map(|interval| Progress::start(total_hint, interval));
+/// What the workers share: the source they pull from and the strict-mode
+/// abort flag.
+struct Shared<S> {
+    cursor: Mutex<Cursor<S>>,
+    abort: AtomicBool,
+}
 
-    let mut items = thread::scope(|scope| {
-        for worker in 0..jobs {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let abort = &abort;
-            scope.spawn(move || {
-                trace::set_lane(&format!("worker-{worker}"));
-                // Per-worker analyzer: constructed once, reused for every
-                // item this worker claims (auto-vantage has no fixed
-                // analyzer; it must sniff each trace).
-                let fixed = match config.vantage {
-                    Vantage::Sender => Some(Analyzer::at_sender()),
-                    Vantage::Receiver => Some(Analyzer::at_receiver()),
-                    Vantage::Unknown => None,
-                };
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let (index, item) = {
-                        // A worker panicking while pulling would poison the
-                        // lock; recover the guard rather than cascade.
-                        let mut cur = match cursor.lock() {
-                            Ok(guard) => guard,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                        match cur.source.next_item() {
-                            Some(item) => {
-                                let index = cur.next_index;
-                                cur.next_index += 1;
-                                (index, item)
-                            }
-                            None => break,
-                        }
-                    };
-                    let CorpusItem { id, input } = item;
-                    let (outcome, trail) = process_item(config, fixed.as_ref(), index, &id, &input);
-                    outcome.count_into_metrics();
-                    if let (Some(trail), Some(dir)) = (trail, config.audit_dir.as_deref()) {
-                        if let Err(e) = trail.write_to(dir) {
-                            tcpa_obs::add("corpus.audit.write_errors", 1);
-                            tcpa_obs::log::warn(&format!(
-                                "audit trail for {} not written: {e}",
-                                trail.trace_id
-                            ));
-                        }
-                    }
-                    if config.degrade == DegradePolicy::Strict {
-                        if let ItemOutcome::Failed(
-                            AnalysisError::Malformed { .. } | AnalysisError::Salvaged { .. },
-                        ) = &outcome
-                        {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    if tx.send(ItemReport { index, id, outcome }).is_err() {
-                        break;
-                    }
-                }
-            });
+impl<S: TraceSource> Shared<S> {
+    /// Claims the next item with its input-order index, unless the source
+    /// is drained or the run aborted.
+    fn claim(&self) -> Option<(usize, CorpusItem)> {
+        if self.abort.load(Ordering::Relaxed) {
+            return None;
         }
-        drop(tx);
-        // Collect on this thread while workers run; order restored below.
-        let mut collected = Vec::new();
-        for report in rx {
-            if let Some(meter) = &progress {
-                meter.observe(report.outcome.progress_class());
+        // A worker panicking while pulling would poison the lock; recover
+        // the guard rather than cascade.
+        let mut cur = match self.cursor.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let item = cur.source.next_item()?;
+        let index = cur.next_index;
+        cur.next_index += 1;
+        Some((index, item))
+    }
+}
+
+/// One worker's loop: claim, process, record, hand the report to `done`
+/// until the source drains, the run aborts, or `done` returns `false`.
+fn work<S: TraceSource, T>(
+    shared: &Shared<S>,
+    config: &CorpusConfig,
+    analyze: &(impl Fn(&str, &Loaded, Deadline) -> Result<T, Expired> + Sync),
+    done: &mut dyn FnMut(ItemReport<T>) -> bool,
+) {
+    while let Some((index, CorpusItem { id, input })) = shared.claim() {
+        let (outcome, trail) = process_item(config, analyze, index, &id, &input);
+        outcome.count_into_metrics();
+        if let (Some(trail), Some(dir)) = (trail, config.audit_dir.as_deref()) {
+            if let Err(e) = trail.write_to(dir) {
+                tcpa_obs::add("corpus.audit.write_errors", 1);
+                tcpa_obs::log::warn(&format!(
+                    "audit trail for {} not written: {e}",
+                    trail.trace_id
+                ));
             }
-            collected.push(report);
         }
-        collected
-    });
-    if let Some(meter) = progress.take() {
+        if config.degrade == DegradePolicy::Strict {
+            if let ItemOutcome::Failed(
+                AnalysisError::Malformed { .. } | AnalysisError::Salvaged { .. },
+            ) = &outcome
+            {
+                shared.abort.store(true, Ordering::Relaxed);
+            }
+        }
+        if !done(ItemReport { index, id, outcome }) {
+            break;
+        }
+    }
+}
+
+/// Runs every item of `source` through the per-item step on
+/// `config.effective_jobs()` workers and returns the reports in input
+/// order, with `true` when a strict-policy abort stopped the run early.
+///
+/// `analyze` turns one loaded trace (with its item id) into a `T`; it
+/// should check the [`Deadline`] it is given between units of work.
+/// Workers pull items from the source behind a mutex (pulling is cheap;
+/// loading and analysis happen outside the lock) and send reports down a
+/// channel; the caller's thread collects them and restores input order,
+/// so the result is the same for any worker count. One job runs on the
+/// calling thread, with no thread spawned. Under
+/// [`DegradePolicy::Strict`] the first malformed capture raises an abort
+/// flag and workers stop pulling.
+pub fn run_items<S, T, F>(
+    source: S,
+    config: &CorpusConfig,
+    analyze: F,
+) -> (Vec<ItemReport<T>>, bool)
+where
+    S: TraceSource,
+    T: Send,
+    F: Fn(&str, &Loaded, Deadline) -> Result<T, Expired> + Sync,
+{
+    let jobs = config.effective_jobs().max(1);
+    let progress = config
+        .progress
+        .map(|interval| Progress::start(source.len_hint(), interval));
+    let shared = Shared {
+        cursor: Mutex::new(Cursor {
+            source,
+            next_index: 0,
+        }),
+        abort: AtomicBool::new(false),
+    };
+    let mut items = Vec::new();
+    let mut collect = |report: ItemReport<T>| {
+        if let Some(meter) = &progress {
+            meter.observe(report.outcome.progress_class());
+        }
+        items.push(report);
+        true
+    };
+    if jobs == 1 {
+        trace::set_lane("worker-0");
+        work(&shared, config, &analyze, &mut collect);
+    } else {
+        let (tx, rx) = mpsc::channel::<ItemReport<T>>();
+        thread::scope(|scope| {
+            for worker in 0..jobs {
+                let tx = tx.clone();
+                let (shared, analyze) = (&shared, &analyze);
+                scope.spawn(move || {
+                    trace::set_lane(&format!("worker-{worker}"));
+                    work(shared, config, analyze, &mut |report| {
+                        tx.send(report).is_ok()
+                    });
+                });
+            }
+            drop(tx);
+            // Collect on this thread while workers run; order restored
+            // below.
+            for report in rx {
+                collect(report);
+            }
+        });
+    }
+    if let Some(meter) = progress {
         meter.finish();
     }
-
     items.sort_unstable_by_key(|r| r.index);
+    (items, shared.abort.load(Ordering::Relaxed))
+}
+
+/// Runs the corpus through `config.effective_jobs()` workers and merges
+/// the results deterministically into a census.
+///
+/// Each item is analyzed by [`Analyzer::analyze_within`] from
+/// `config.vantage` and distilled into an [`ItemSummary`]; see
+/// [`run_items`] for the per-item guarantees. The returned
+/// [`CorpusReport`] — and its rendering — is byte-identical to a
+/// `jobs = 1` run. A strict-policy abort marks it
+/// [`CorpusReport::aborted`].
+pub fn analyze_corpus<S: TraceSource>(source: S, config: &CorpusConfig) -> CorpusReport {
+    let analyzer = Analyzer::from(config.vantage);
+    let (items, aborted) = run_items(source, config, |_, loaded, deadline| {
+        let analysis = analyzer.analyze_within(&loaded.trace, deadline)?;
+        let summary = distill(&analysis.report, loaded.trace.len());
+        audit::event(EventKind::Verdict, "summary", summarize(&summary));
+        Ok(summary)
+    });
     let mut census = Census::new();
     for report in &items {
         census.absorb(report);
@@ -929,7 +905,7 @@ pub fn analyze_corpus<S: TraceSource>(source: S, config: &CorpusConfig) -> Corpu
     CorpusReport {
         items,
         census,
-        aborted: abort.load(Ordering::Relaxed),
+        aborted,
     }
 }
 
@@ -937,6 +913,7 @@ pub fn analyze_corpus<S: TraceSource>(source: S, config: &CorpusConfig) -> Corpu
 mod tests {
     use super::*;
     use tcpa_trace::source::MemorySource;
+    use tcpa_trace::Trace;
 
     #[test]
     fn empty_corpus_renders() {
@@ -1030,6 +1007,39 @@ mod tests {
         assert!(failed.contains("\"outcome\": \"failed.io\""), "{failed}");
         assert!(failed.contains("\"kind\": \"error\""), "{failed}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn expired_deadline_times_out_every_item_at_any_jobs() {
+        let items: Vec<CorpusItem> = (0..6u64)
+            .map(|i| {
+                let out = tcpa_tcpsim::run_transfer(
+                    tcpa_tcpsim::profiles::reno(),
+                    tcpa_tcpsim::profiles::reno(),
+                    &tcpa_tcpsim::PathSpec::default(),
+                    8 * 1024,
+                    40 + i,
+                );
+                CorpusItem::memory(format!("t{i}"), out.sender_trace())
+            })
+            .collect();
+        let run = |jobs| {
+            let config = CorpusConfig {
+                jobs,
+                timeout: Some(std::time::Duration::ZERO),
+                ..CorpusConfig::default()
+            };
+            analyze_corpus(MemorySource::new(items.clone()), &config)
+        };
+        let one = run(1);
+        assert_eq!(one.census.timeouts, items.len(), "{}", one.render());
+        for item in &one.items {
+            assert_eq!(
+                item.outcome,
+                ItemOutcome::Failed(AnalysisError::Timeout { limit_ms: 0 })
+            );
+        }
+        assert_eq!(one.render(), run(4).render());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! is a close fit.
 
 use crate::sender::{prescan, replay_candidate, Prescan, ReplayOptions, SenderAnalysis};
+use tcpa_obs::{Deadline, Expired};
 use tcpa_tcpsim::config::TcpConfig;
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration};
@@ -99,13 +100,24 @@ fn score(conn: &Connection, pre: &Prescan, cfg: &TcpConfig) -> FingerprintResult
 /// prescanned once and each candidate replayed over it once (twice when
 /// a sender window is inferred).
 pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
+    // Without a deadline the ranking cannot expire.
+    fingerprint_within(conn, Deadline::NONE).unwrap_or_default()
+}
+
+/// [`fingerprint`], checking `deadline` before each candidate replay.
+pub(crate) fn fingerprint_within(
+    conn: &Connection,
+    deadline: Deadline,
+) -> Result<Vec<FingerprintResult>, Expired> {
     let Some(pre) = prescan(conn) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    let mut results: Vec<FingerprintResult> = all_profiles()
-        .iter()
-        .map(|cfg| score(conn, &pre, cfg))
-        .collect();
+    let profiles = all_profiles();
+    let mut results = Vec::with_capacity(profiles.len());
+    for cfg in &profiles {
+        deadline.check()?;
+        results.push(score(conn, &pre, cfg));
+    }
     // A stable sort on keys computed once per candidate.
     results.sort_by_cached_key(|r| match r.fit {
         FitClass::ClearlyIncorrect => (r.fit, r.analysis.hard_issues(), Duration::ZERO),
@@ -114,7 +126,7 @@ pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
             (r.fit, 0, mean)
         }
     });
-    results
+    Ok(results)
 }
 
 /// Names of the candidates classified close.

@@ -1,15 +1,16 @@
 //! The one-call analyzer façade and its aggregate report.
 
-use crate::calibrate::{CalibrationReport, Calibrator, Vantage};
+use crate::calibrate::{CalibrationReport, SplitTrace, Vantage};
 use crate::fingerprint::{
-    fingerprint, fingerprint_receiver, FingerprintResult, FitClass, ReceiverFit,
+    fingerprint_receiver, fingerprint_within, FingerprintResult, FitClass, ReceiverFit,
 };
 use crate::handshake::{analyze_handshake, HandshakeAnalysis};
 use crate::receiver::{analyze_receiver, AckClass, ReceiverAnalysis};
+use tcpa_obs::{Deadline, Expired};
 use tcpa_trace::{Connection, Trace};
 
 /// Everything tcpanaly concludes about one trace.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AnalysisReport {
     /// Per-connection results, in first-seen order.
     pub connections: Vec<ConnectionReport>,
@@ -46,10 +47,28 @@ impl ConnectionReport {
     }
 }
 
+/// A trace taken through the pipeline: the vantage it was analyzed
+/// from, the connections the analysis read, and what it concluded.
+#[derive(Debug)]
+pub struct Analysis {
+    /// The vantage the analysis assumed (inferred when it was unknown).
+    pub vantage: Vantage,
+    /// The de-duplicated connections, parallel to `report.connections`.
+    pub connections: Vec<Connection>,
+    /// The conclusions.
+    pub report: AnalysisReport,
+}
+
 /// The analyzer façade: calibrate, split, fingerprint, analyze.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct Analyzer {
     vantage: Vantage,
+}
+
+impl From<Vantage> for Analyzer {
+    fn from(vantage: Vantage) -> Analyzer {
+        Analyzer { vantage }
+    }
 }
 
 impl Analyzer {
@@ -76,23 +95,7 @@ impl Analyzer {
     /// endpoint answers its stimuli within sub-milliseconds is the one
     /// the filter sat beside. Falls back to unknown when ambiguous.
     pub fn auto(trace: &Trace) -> Analyzer {
-        let (clean, _) = Calibrator::new().calibrate(trace);
-        let mut votes = (0usize, 0usize);
-        for conn in Connection::split(&clean) {
-            match crate::calibrate::infer_vantage(&conn).vantage {
-                Vantage::Sender => votes.0 += 1,
-                Vantage::Receiver => votes.1 += 1,
-                Vantage::Unknown => {}
-            }
-        }
-        let vantage = if votes.0 > votes.1 {
-            Vantage::Sender
-        } else if votes.1 > votes.0 {
-            Vantage::Receiver
-        } else {
-            Vantage::Unknown
-        };
-        Analyzer { vantage }
+        SplitTrace::of(trace).infer_vantage().into()
     }
 
     /// The vantage this analyzer assumes.
@@ -100,32 +103,62 @@ impl Analyzer {
         self.vantage
     }
 
-    /// Runs the full pipeline on a trace.
+    /// Runs the full pipeline on a trace, from the vantage this analyzer
+    /// assumes (an unknown one runs only vantage-neutral checks).
     ///
     /// Every stage records a wall-clock span into the global
     /// [`tcpa_obs`] registry (and into the per-trace audit trail when
-    /// one is active): `stage.calibrate`, `stage.split`, then per
+    /// one is active): `stage.split`, `stage.calibrate`, then per
     /// connection `stage.fingerprint`, `stage.receiver`,
     /// `stage.receiver_fingerprint`, `stage.handshake`, `stage.stats`,
     /// all under the umbrella `analyze.total`.
     pub fn analyze(&self, trace: &Trace) -> AnalysisReport {
-        let _total = tcpa_obs::span("analyze.total");
-        let calibrator = Calibrator {
-            vantage: self.vantage,
-        };
-        let (clean, calibration) =
-            tcpa_obs::time("stage.calibrate", || calibrator.calibrate(trace));
-        let connections = tcpa_obs::time("stage.split", || Connection::split(&clean))
-            .into_iter()
-            .map(|conn| self.analyze_connection(&conn))
-            .collect();
-        AnalysisReport {
-            connections,
-            calibration,
-        }
+        // Without a deadline the pipeline cannot expire.
+        self.run(trace, false, Deadline::NONE)
+            .map(|analysis| analysis.report)
+            .unwrap_or_default()
     }
 
-    fn analyze_connection(&self, conn: &Connection) -> ConnectionReport {
+    /// The pipeline as `tcpanaly` runs it, in both modes. Unlike
+    /// [`Analyzer::analyze`], an unknown vantage is inferred first, as
+    /// [`Analyzer::auto`] does, but from the same de-duplicated
+    /// connections the analysis then reads: each trace is split and
+    /// calibrated once. `deadline` is checked before each connection and
+    /// each candidate replay.
+    pub fn analyze_within(&self, trace: &Trace, deadline: Deadline) -> Result<Analysis, Expired> {
+        self.run(trace, true, deadline)
+    }
+
+    fn run(&self, trace: &Trace, infer: bool, deadline: Deadline) -> Result<Analysis, Expired> {
+        let _total = tcpa_obs::span("analyze.total");
+        let split = tcpa_obs::time("stage.split", || SplitTrace::of(trace));
+        let (analyzer, calibration) = tcpa_obs::time("stage.calibrate", || {
+            let vantage = match self.vantage {
+                Vantage::Unknown if infer => split.infer_vantage(),
+                known => known,
+            };
+            (Analyzer { vantage }, split.calibrate(vantage))
+        });
+        let mut connections = Vec::with_capacity(split.connections.len());
+        for conn in &split.connections {
+            deadline.check()?;
+            connections.push(analyzer.analyze_connection(conn, deadline)?);
+        }
+        Ok(Analysis {
+            vantage: analyzer.vantage,
+            connections: split.connections,
+            report: AnalysisReport {
+                connections,
+                calibration,
+            },
+        })
+    }
+
+    fn analyze_connection(
+        &self,
+        conn: &Connection,
+        deadline: Deadline,
+    ) -> Result<ConnectionReport, Expired> {
         // The connection key rides on every per-connection span so the
         // exported trace can answer "which connection was this?".
         let key = format!("{} -> {}", conn.sender, conn.receiver);
@@ -133,9 +166,9 @@ impl Analyzer {
             // Sender behavior can only be judged from a vantage at or
             // near the sender (§6.1); from elsewhere, network delay
             // between filter and sender poisons the response delays.
-            Vantage::Receiver => Vec::new(),
-            _ => fingerprint(conn),
-        });
+            Vantage::Receiver => Ok(Vec::new()),
+            _ => fingerprint_within(conn, deadline),
+        })?;
         let receiver = tcpa_obs::time_noted("stage.receiver", &key, || match self.vantage {
             Vantage::Sender => None,
             _ => analyze_receiver(conn),
@@ -145,14 +178,14 @@ impl Analyzer {
                 Vantage::Receiver => fingerprint_receiver(conn),
                 _ => Vec::new(),
             });
-        ConnectionReport {
+        Ok(ConnectionReport {
             fingerprint,
             receiver,
             receiver_fingerprint,
             handshake: tcpa_obs::time_noted("stage.handshake", &key, || analyze_handshake(conn)),
             stats: tcpa_obs::time_noted("stage.stats", &key, || tcpa_trace::ConnStats::of(conn)),
             description: key,
-        }
+        })
     }
 }
 

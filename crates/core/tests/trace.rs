@@ -1,9 +1,9 @@
 //! Span-tree tracing contract tests, driven through the `tcpanaly`
 //! binary: schema validity of the Chrome trace_event export, parent /
-//! child invariants across the watchdog boundary, canonical-form
-//! determinism across worker counts, wall-clock coverage, and the typed
-//! write-error surface of `--trace-out` / `--metrics-out` /
-//! `--audit-dir`.
+//! child invariants under a per-item deadline (generous and expired),
+//! canonical-form determinism across worker counts, wall-clock coverage,
+//! and the typed write-error surface of `--trace-out` / `--metrics-out`
+//! / `--audit-dir`.
 
 use std::process::Command;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
@@ -143,12 +143,35 @@ fn trace_canonical_form_deterministic_across_worker_counts() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The watchdog boundary: with `--timeout-secs` active, analysis spans
-/// run on the watchdog lane yet still parent under the worker's
-/// `corpus.item` root — the handoff keeps the tree connected.
+/// Events of an exported trace document.
+fn trace_events(text: &str) -> Vec<json::Value> {
+    let doc = json::Value::parse(text).expect("parse");
+    doc.get("traceEvents")
+        .and_then(json::Value::as_arr)
+        .expect("events")
+        .to_vec()
+}
+
+fn arg(event: &json::Value, key: &str) -> Option<u64> {
+    event
+        .get("args")
+        .and_then(|a| a.get(key))
+        .and_then(json::Value::as_u64)
+}
+
+fn named<'a>(events: &'a [json::Value], name: &str) -> Vec<&'a json::Value> {
+    events
+        .iter()
+        .filter(|e| e.get("name").and_then(json::Value::as_str) == Some(name))
+        .collect()
+}
+
+/// With `--timeout-secs` active, analysis runs on the worker that
+/// claimed the item, under its deadline: every `analyze.total` span sits
+/// on the worker lane, parented under that item's `corpus.item` root.
 #[test]
-fn watchdog_spans_stay_attached_to_item_tree() {
-    let dir = corpus_dir("watchdog", 2, false);
+fn deadline_spans_stay_attached_to_item_tree() {
+    let dir = corpus_dir("deadline", 2, false);
     let out = dir.join("trace.json");
     let (stdout, stderr, code) = tcpanaly_code(&[
         "--jobs",
@@ -161,48 +184,64 @@ fn watchdog_spans_stay_attached_to_item_tree() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&out).expect("trace file");
-    trace::check_tree_invariants(&text).expect("watchdog spans must not orphan");
-    assert!(text.contains("\"watchdog\""), "watchdog lane expected");
-    assert!(text.contains("\"analyze.total\""), "{text}");
+    trace::check_tree_invariants(&text).expect("deadline-bounded spans must not orphan");
+    assert!(!text.contains("\"watchdog\""), "no watchdog lane expected");
 
-    // Spot-check one cross-lane edge: an analyze.total span on the
-    // watchdog lane whose parent is the worker's corpus.item span.
-    let doc = json::Value::parse(&text).expect("parse");
-    let events = doc
-        .get("traceEvents")
-        .and_then(json::Value::as_arr)
-        .expect("events");
-    let analyze = events
-        .iter()
-        .find(|e| e.get("name").and_then(json::Value::as_str) == Some("analyze.total"))
-        .expect("analyze.total event");
-    let parent = analyze
-        .get("args")
-        .and_then(|a| a.get("parent"))
-        .and_then(json::Value::as_u64)
-        .expect("analyze.total has a parent under the watchdog");
-    let item = analyze
-        .get("args")
-        .and_then(|a| a.get("item"))
-        .and_then(json::Value::as_u64)
-        .expect("item index");
-    let root = events
-        .iter()
-        .find(|e| {
-            e.get("name").and_then(json::Value::as_str) == Some("corpus.item")
-                && e.get("args")
-                    .and_then(|a| a.get("item"))
-                    .and_then(json::Value::as_u64)
-                    == Some(item)
-        })
-        .expect("corpus.item root for the same item");
-    assert_eq!(
-        root.get("args")
-            .and_then(|a| a.get("id"))
-            .and_then(json::Value::as_u64),
-        Some(parent),
-        "watchdog analysis parents under the worker's root span"
-    );
+    let events = trace_events(&text);
+    let analyses = named(&events, "analyze.total");
+    assert_eq!(analyses.len(), 2, "one analysis per item");
+    for analyze in analyses {
+        let item = arg(analyze, "item").expect("item index");
+        let root = named(&events, "corpus.item")
+            .into_iter()
+            .find(|e| arg(e, "item") == Some(item))
+            .expect("corpus.item root for the same item");
+        assert_eq!(
+            arg(analyze, "parent"),
+            arg(root, "id"),
+            "analysis parents under the item's root span"
+        );
+        assert_eq!(
+            analyze.get("tid").and_then(json::Value::as_u64),
+            root.get("tid").and_then(json::Value::as_u64),
+            "analysis runs on the lane that claimed the item"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// An expired deadline fails every item as a timeout, in both modes:
+/// exit 1, one `timeout` instant per item, and a span tree whose spans
+/// all closed.
+#[test]
+fn expired_deadline_fails_items_with_closed_spans() {
+    let dir = corpus_dir("timeout", 2, false);
+    let files = [dir.join("t0.pcap"), dir.join("t1.pcap")];
+    for batch in [true, false] {
+        let out = dir.join(format!("trace-{batch}.json"));
+        let mut args = vec!["--timeout-secs", "0", "--trace-out", out.to_str().unwrap()];
+        if batch {
+            args.extend(["--jobs", "2"]);
+        }
+        args.extend(files.iter().map(|f| f.to_str().unwrap()));
+        let (stdout, stderr, code) = tcpanaly_code(&args);
+        assert_eq!(code, 1, "{stdout}\n{stderr}");
+        if batch {
+            assert!(
+                stdout.contains("failures: 0 i/o, 0 malformed, 2 timeout"),
+                "{stdout}"
+            );
+        } else {
+            assert!(stdout.is_empty(), "{stdout}");
+            assert!(stderr.contains("timed out after 0 ms"), "{stderr}");
+        }
+        let text = std::fs::read_to_string(&out).expect("trace file");
+        trace::validate_trace(&text).expect("schema-valid trace");
+        trace::check_tree_invariants(&text).expect("spans close on a timeout");
+        let events = trace_events(&text);
+        assert_eq!(named(&events, "timeout").len(), 2, "{text}");
+        assert_eq!(named(&events, "analyze.total").len(), 2, "{text}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

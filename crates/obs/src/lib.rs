@@ -42,7 +42,7 @@ pub mod write;
 pub use hist::LogHistogram;
 pub use metrics::MetricsSnapshot;
 pub use registry::Registry;
-pub use span::Span;
+pub use span::{Deadline, Expired, Span};
 
 /// Starts a stage span recording into the global registry on drop.
 pub fn span(name: &'static str) -> Span {

@@ -59,6 +59,41 @@ impl Drop for Span {
     }
 }
 
+/// A point on the span clock after which an item's analysis should
+/// stop. The analysis checks it itself between units of work, so an
+/// overrun costs at most one unit past the budget and leaves every span
+/// closed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Deadline {
+    at: Option<Instant>,
+}
+
+/// Returned by [`Deadline::check`] once the deadline has passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expired;
+
+impl Deadline {
+    /// A deadline that never passes.
+    pub const NONE: Deadline = Deadline { at: None };
+
+    /// A deadline `budget` from now; `None` (or a budget past the end of
+    /// the clock) never passes.
+    pub fn after(budget: Option<std::time::Duration>) -> Deadline {
+        Deadline {
+            at: budget.and_then(|b| Instant::now().checked_add(b)),
+        }
+    }
+
+    /// `Err(Expired)` once the deadline has passed. Reads the clock only
+    /// when a deadline is set.
+    pub fn check(&self) -> Result<(), Expired> {
+        match self.at {
+            Some(at) if Instant::now() >= at => Err(Expired),
+            _ => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,5 +115,17 @@ mod tests {
             .unwrap_or(0);
         assert_eq!(h.count(), earlier + 1);
         assert!(h.sum() >= 1_000_000, "slept ≥1ms");
+    }
+
+    #[test]
+    fn deadline_passes_only_when_set() {
+        assert_eq!(Deadline::NONE.check(), Ok(()));
+        assert_eq!(Deadline::after(None).check(), Ok(()));
+        let far = Deadline::after(Some(std::time::Duration::from_secs(3600)));
+        assert_eq!(far.check(), Ok(()));
+        let now = Deadline::after(Some(std::time::Duration::ZERO));
+        assert_eq!(now.check(), Err(Expired));
+        let never = Deadline::after(Some(std::time::Duration::MAX));
+        assert_eq!(never.check(), Ok(()));
     }
 }

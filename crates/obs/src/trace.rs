@@ -15,26 +15,22 @@
 //!   atomic load and bails.
 //! * **Lock-free-enough.** Each thread appends events to a thread-local
 //!   buffer; the global sink mutex is touched only when an item
-//!   finishes ([`end_item`] / [`finish_adopted`]) or a thread exits, so
-//!   workers never contend per-span.
+//!   finishes ([`end_item`]) or a thread exits, so workers never contend
+//!   per-span.
 //! * **Deterministic modulo timestamps.** Span ids are per-item
-//!   sequence numbers (an item is processed sequentially, even across
-//!   the watchdog handoff, so its id assignment does not depend on
-//!   scheduling). [`canonicalize`] strips the fields that legitimately
-//!   vary between runs — timestamps, durations, and lane/thread
-//!   assignment — and sorts by `(item, id)`; the result is
-//!   byte-identical whatever `--jobs` was.
-//! * **Explicit cross-thread handoff.** The corpus watchdog boundary is
-//!   crossed with [`handoff`]/[`adopt`]: the watchdog thread inherits
-//!   the item context *and its shared id counter*, so its spans slot
-//!   into the same tree (parented under the worker's open span) with no
-//!   id collisions.
+//!   sequence numbers. An item runs start to finish on the one thread
+//!   that claimed it (a per-item deadline, not a second thread, bounds
+//!   its time), so its id assignment does not depend on scheduling.
+//!   [`canonicalize`] strips the fields that legitimately vary between
+//!   runs — timestamps, durations, and lane/thread assignment — and
+//!   sorts by `(item, id)`; the result is byte-identical whatever
+//!   `--jobs` was.
 
 use crate::json::Value;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// The phase of one trace event (a subset of the Chrome vocabulary).
@@ -53,8 +49,7 @@ pub struct TraceEvent {
     pub phase: Phase,
     /// Span or event name (`stage.fingerprint`, `retry`, …).
     pub name: String,
-    /// Lane (thread role) the event happened on (`main`, `worker-3`,
-    /// `watchdog`).
+    /// Lane (thread role) the event happened on (`main`, `worker-3`).
     pub lane: String,
     /// The corpus item's label (file path or synthetic name).
     pub item_id: String,
@@ -81,21 +76,12 @@ pub struct OpenSpan {
     ts_ns: u64,
 }
 
-/// The item context carried across the worker→watchdog boundary.
-#[derive(Debug, Clone)]
-pub struct Handoff {
-    item_id: String,
-    item_index: u64,
-    seq: Arc<AtomicU64>,
-    parent: Option<u64>,
-}
-
 #[derive(Debug)]
 struct ItemCtx {
     id: String,
     index: u64,
-    /// Shared with an adopted watchdog thread so ids never collide.
-    seq: Arc<AtomicU64>,
+    /// The last id handed out within this item.
+    seq: u64,
     /// Open-span stack (ids); the top is the parent of the next event.
     stack: Vec<u64>,
 }
@@ -161,7 +147,7 @@ fn now_ns() -> u64 {
     epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Names the current thread's lane (`worker-0`, `watchdog`, …). The
+/// Names the current thread's lane (`worker-0`, …). The
 /// default lane is `main`. Cheap no-op when tracing is off.
 pub fn set_lane(name: &str) {
     if !is_enabled() {
@@ -180,7 +166,7 @@ pub fn begin_item(id: &str, index: u64) {
         cell.borrow_mut().item = Some(ItemCtx {
             id: id.to_string(),
             index,
-            seq: Arc::new(AtomicU64::new(0)),
+            seq: 0,
             stack: Vec::new(),
         });
     });
@@ -189,60 +175,6 @@ pub fn begin_item(id: &str, index: u64) {
 /// Closes this thread's item context and flushes the thread-local
 /// buffer into the global sink.
 pub fn end_item() {
-    if !is_enabled() {
-        return;
-    }
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        ctx.item = None;
-        if !ctx.buf.is_empty() {
-            let events = std::mem::take(&mut ctx.buf);
-            drop(ctx);
-            sink_append(events);
-        }
-    });
-}
-
-/// Captures the current item context for explicit transfer to another
-/// thread (the corpus watchdog). The receiving thread's spans will be
-/// parented under this thread's currently-open span and numbered from
-/// the *same* counter. Returns `None` when tracing is off or no item is
-/// open.
-pub fn handoff() -> Option<Handoff> {
-    if !is_enabled() {
-        return None;
-    }
-    CTX.with(|cell| {
-        let ctx = cell.borrow();
-        ctx.item.as_ref().map(|item| Handoff {
-            item_id: item.id.clone(),
-            item_index: item.index,
-            seq: Arc::clone(&item.seq),
-            parent: item.stack.last().copied(),
-        })
-    })
-}
-
-/// Installs a handed-off item context on this thread (the watchdog) and
-/// names its lane `watchdog`. Pair with [`finish_adopted`].
-pub fn adopt(h: Handoff) {
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        ctx.lane = Some("watchdog".to_string());
-        ctx.item = Some(ItemCtx {
-            id: h.item_id,
-            index: h.item_index,
-            seq: h.seq,
-            // The handoff parent seeds the stack so the watchdog's root
-            // span nests under the worker's open span.
-            stack: h.parent.into_iter().collect(),
-        });
-    });
-}
-
-/// Ends an adopted context: flushes this thread's events to the sink so
-/// they survive the thread, even if the worker has already timed out.
-pub fn finish_adopted() {
     if !is_enabled() {
         return;
     }
@@ -272,7 +204,8 @@ pub(crate) fn open_span() -> Option<OpenSpan> {
                 None
             }
             Some(item) => {
-                let id = item.seq.fetch_add(1, Ordering::Relaxed) + 1;
+                item.seq += 1;
+                let id = item.seq;
                 let parent = item.stack.last().copied();
                 item.stack.push(id);
                 Some(OpenSpan {
@@ -332,7 +265,8 @@ pub fn instant(name: &'static str, detail: &str) {
         let Some(item) = ctx.item.as_mut() else {
             return;
         };
-        let id = item.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        item.seq += 1;
+        let id = item.seq;
         let event = TraceEvent {
             phase: Phase::Instant,
             name: name.to_string(),
@@ -693,34 +627,6 @@ mod tests {
         assert!(json.contains("\"thread_name\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");
         assert!(json.contains("\"ph\": \"i\""), "{json}");
-    }
-
-    #[test]
-    fn handoff_shares_ids_across_threads() {
-        let _guard = locked();
-        enable();
-        let _ = drain();
-        begin_item("tests/b.pcap", 7);
-        let worker_span = crate::span("corpus.item_test");
-        let h = handoff().expect("handoff available");
-        std::thread::scope(|s| {
-            // tcpa-lint: allow(thread-spawn-audit) -- test models the corpus watchdog boundary
-            s.spawn(move || {
-                adopt(h);
-                crate::time("stage.on_watchdog", || ());
-                finish_adopted();
-            });
-        });
-        drop(worker_span);
-        end_item();
-        let events = drain();
-        assert_eq!(events.len(), 2, "{events:?}");
-        assert_eq!(events[0].name, "corpus.item_test");
-        assert_eq!(events[1].name, "stage.on_watchdog");
-        assert_eq!(events[1].parent, Some(events[0].id));
-        assert_eq!(events[1].lane, "watchdog");
-        let json = render_chrome(&events);
-        check_tree_invariants(&json).expect("cross-thread tree closes");
     }
 
     #[test]

@@ -95,27 +95,44 @@ impl Connection {
     /// is the endpoint that shipped more payload bytes (ties go to the
     /// SYN initiator, then to the canonical `a` endpoint).
     pub fn split(trace: &Trace) -> Vec<Connection> {
-        // Preserve first-seen order of connections.
-        let mut order: Vec<ConnKey> = Vec::new();
-        let mut groups: std::collections::BTreeMap<ConnKey, Vec<TraceRecord>> =
+        Connection::split_records(trace.iter())
+    }
+
+    /// [`Connection::split`] over records given in filter order.
+    pub fn split_records<'a>(
+        records: impl IntoIterator<Item = &'a TraceRecord>,
+    ) -> Vec<Connection> {
+        // Groups in first-seen order; consecutive records of one
+        // connection skip the key lookup. Directions are filled in once
+        // each group's sender is known.
+        let mut slots: std::collections::BTreeMap<ConnKey, usize> =
             std::collections::BTreeMap::new();
-        for rec in trace.iter() {
+        let mut groups: Vec<(ConnKey, Vec<(Dir, TraceRecord)>)> = Vec::new();
+        let mut last: Option<(ConnKey, usize)> = None;
+        for rec in records {
             let key = ConnKey::of_record(rec);
-            groups
-                .entry(key)
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(rec.clone());
+            let slot = match last {
+                Some((last_key, slot)) if last_key == key => slot,
+                _ => {
+                    let slot = *slots.entry(key).or_insert_with(|| {
+                        groups.push((key, Vec::new()));
+                        groups.len() - 1
+                    });
+                    last = Some((key, slot));
+                    slot
+                }
+            };
+            if let Some((_, records)) = groups.get_mut(slot) {
+                records.push((Dir::SenderToReceiver, rec.clone()));
+            }
         }
-        order
+        groups
             .into_iter()
-            .map(|key| Connection::orient(key, groups.remove(&key).unwrap_or_default()))
+            .map(|(key, records)| Connection::orient(key, records))
             .collect()
     }
 
-    fn orient(key: ConnKey, records: Vec<TraceRecord>) -> Connection {
+    fn orient(key: ConnKey, mut records: Vec<(Dir, TraceRecord)>) -> Connection {
         let src_of = |rec: &TraceRecord| Endpoint {
             addr: rec.ip.src,
             port: rec.tcp.src_port,
@@ -123,7 +140,7 @@ impl Connection {
         let mut bytes_from_a: u64 = 0;
         let mut bytes_from_b: u64 = 0;
         let mut syn_initiator: Option<Endpoint> = None;
-        for rec in &records {
+        for (_, rec) in &records {
             let src = src_of(rec);
             if rec.tcp.flags.syn() && !rec.tcp.flags.ack() && syn_initiator.is_none() {
                 syn_initiator = Some(src);
@@ -140,17 +157,13 @@ impl Connection {
             core::cmp::Ordering::Equal => syn_initiator.unwrap_or(key.a),
         };
         let receiver = if sender == key.a { key.b } else { key.a };
-        let records = records
-            .into_iter()
-            .map(|rec| {
-                let dir = if src_of(&rec) == sender {
-                    Dir::SenderToReceiver
-                } else {
-                    Dir::ReceiverToSender
-                };
-                (dir, rec)
-            })
-            .collect();
+        for (dir, rec) in &mut records {
+            *dir = if src_of(rec) == sender {
+                Dir::SenderToReceiver
+            } else {
+                Dir::ReceiverToSender
+            };
+        }
         Connection {
             key,
             sender,

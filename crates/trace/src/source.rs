@@ -160,6 +160,9 @@ pub struct Loaded {
     /// Salvage accounting, present only for pcap inputs read in
     /// [`LoadMode::Salvage`].
     pub salvage: Option<IngestReport>,
+    /// Non-TCP frames the strict reader skipped (a salvage read counts
+    /// them in its report instead).
+    pub non_tcp_skipped: usize,
 }
 
 impl TraceInput {
@@ -171,6 +174,7 @@ impl TraceInput {
             TraceInput::Memory(trace) => Ok(Loaded {
                 trace: trace.clone(),
                 salvage: None,
+                non_tcp_skipped: 0,
             }),
             TraceInput::PcapFile(path) => {
                 let bytes = std::fs::read(path).map_err(|e| LoadError::Io {
@@ -180,7 +184,7 @@ impl TraceInput {
                 decode_bytes(&bytes, mode, &path.display().to_string())
             }
             TraceInput::PcapBytes(bytes) => decode_bytes(bytes, mode, "<memory capture>"),
-            // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus watchdog test rig loads on purpose
+            // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus runner's panic-isolation tests load on purpose
             TraceInput::Poison => panic!("poisoned corpus item loaded"),
             TraceInput::Flaky { remaining, trace } => {
                 use std::sync::atomic::Ordering;
@@ -196,6 +200,7 @@ impl TraceInput {
                     Ok(Loaded {
                         trace: trace.clone(),
                         salvage: None,
+                        non_tcp_skipped: 0,
                     })
                 }
             }
@@ -215,9 +220,10 @@ impl TraceInput {
 fn decode_bytes(bytes: &[u8], mode: LoadMode, label: &str) -> Result<Loaded, LoadError> {
     match mode {
         LoadMode::Strict => pcap_io::read_pcap(std::io::Cursor::new(bytes))
-            .map(|(trace, _skipped)| Loaded {
+            .map(|(trace, non_tcp_skipped)| Loaded {
                 trace,
                 salvage: None,
+                non_tcp_skipped,
             })
             .map_err(|e| match e {
                 tcpa_wire::pcap::PcapError::Io(io) => LoadError::Io {
@@ -233,6 +239,7 @@ fn decode_bytes(bytes: &[u8], mode: LoadMode, label: &str) -> Result<Loaded, Loa
             Ok(Loaded {
                 trace,
                 salvage: Some(report),
+                non_tcp_skipped: 0,
             })
         }
     }
@@ -273,18 +280,22 @@ impl MemorySource {
         MemorySource::new(paths.into_iter().map(CorpusItem::pcap).collect())
     }
 
-    /// A source over every `*.pcap` in `dir` (non-recursive), sorted by
-    /// file name so corpus order — and therefore the merged report — is
-    /// independent of directory-listing order.
+    /// A source over every `*.pcap` in `dir` (see [`pcap_files_in`]).
     pub fn from_pcap_dir(dir: impl AsRef<Path>) -> std::io::Result<MemorySource> {
-        let dir = dir.as_ref();
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.is_file() && p.extension().map(|e| e == "pcap").unwrap_or(false))
-            .collect();
-        paths.sort();
-        Ok(MemorySource::from_pcap_files(paths))
+        Ok(MemorySource::from_pcap_files(pcap_files_in(dir.as_ref())?))
     }
+}
+
+/// Every `*.pcap` file directly in `dir` (non-recursive), sorted by file
+/// name so corpus order — and therefore the merged report — is
+/// independent of directory-listing order.
+pub fn pcap_files_in(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.is_file() && p.extension().map(|e| e == "pcap").unwrap_or(false))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 impl TraceSource for MemorySource {
