@@ -66,7 +66,7 @@ struct Options {
     files: Vec<String>,
 }
 
-const USAGE: &str = "usage: tcpanaly [options] TRACE.pcap...
+const USAGE: &str = "usage: tcpanaly [options] TRACE.pcap... | DIR...
 
 options:
   --sender                trace was captured at the data sender (default: auto-detect)

@@ -11,7 +11,7 @@
 //! with removed duplicates with care. What matters for behavior analysis
 //! is that exactly one record per wire packet survives.
 
-use tcpa_trace::{Time, Trace, TraceRecord};
+use tcpa_trace::{Time, Trace};
 
 /// One removed duplicate.
 #[derive(Debug, Clone)]
@@ -44,55 +44,37 @@ pub fn remove_duplicates(trace: &Trace) -> (Trace, Vec<DupRemoval>) {
 
 /// Finds measurement duplicates: for each record, whether it is a later
 /// copy to discard, and every removal in the order it was made.
-///
-/// Each kept record removes every later copy of itself up to the first
-/// surviving record more than [`DUP_WINDOW`] away in filter order. A
-/// copy carries the same IP ident and sequence number, so only records
-/// that share both with a later one need that scan at all; the rest of
-/// the trace costs one sort.
 pub fn find_duplicates(trace: &Trace) -> (Vec<bool>, Vec<DupRemoval>) {
-    let records = &trace.records;
-    let n = records.len();
-    // Each record's next later record that could be a copy of it: sort
-    // on ident, the low half of the sequence number and then the index,
-    // packed into one word (a capture holds fewer than 2³² records).
-    let mut by_key: Vec<u64> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            u64::from(r.ip.ident) << 48 | u64::from(r.tcp.seq.0 & 0xffff) << 32 | i as u64
-        })
-        .collect();
-    by_key.sort_unstable();
-    let index = |packed: u64| (packed & 0xffff_ffff) as usize;
-    let mut next_same = vec![None; n];
-    for pair in by_key.windows(2) {
-        if let [a, b] = *pair {
-            if a >> 32 == b >> 32 {
-                next_same[index(a)] = Some(index(b));
-            }
-        }
-    }
+    let n = trace.len();
     let mut removed = vec![false; n];
     let mut removals = Vec::new();
-    for (i, a) in records.iter().enumerate() {
+    // Quadratic in the duplicate window, linear overall: the inner scan
+    // stops at the first record more than DUP_WINDOW away. (Indexing
+    // rather than iterators because both endpoints of the pair are
+    // mutated in `removed`.)
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..n {
         if removed[i] {
             continue;
         }
-        // Visit i's possible copies in filter order while the window scan
-        // from i (which skips removed records) has not stopped.
-        let mut scanned = i;
-        let mut candidate = next_same[i];
-        'window: while let Some(j) = candidate {
-            for k in (scanned + 1)..=j {
-                if !removed[k] && time_gap(a.ts, records[k].ts) > DUP_WINDOW {
-                    break 'window;
-                }
+        let a = &trace.records[i];
+        for j in (i + 1)..n {
+            if removed[j] {
+                continue;
             }
-            scanned = j;
-            candidate = next_same[j];
-            let b = &records[j];
-            if !removed[j] && same_packet(a, b) {
+            let b = &trace.records[j];
+            if time_gap(a.ts, b.ts) > DUP_WINDOW {
+                break;
+            }
+            let same_packet = a.ip.ident == b.ip.ident
+                && a.ip.src == b.ip.src
+                && a.ip.dst == b.ip.dst
+                && a.tcp.src_port == b.tcp.src_port
+                && a.tcp.seq == b.tcp.seq
+                && a.tcp.ack == b.tcp.ack
+                && a.tcp.flags == b.tcp.flags
+                && a.payload_len == b.payload_len;
+            if same_packet {
                 removed[j] = true;
                 removals.push(DupRemoval {
                     kept_index: i,
@@ -103,18 +85,6 @@ pub fn find_duplicates(trace: &Trace) -> (Vec<bool>, Vec<DupRemoval>) {
         }
     }
     (removed, removals)
-}
-
-/// `true` when two records are filter copies of one wire packet.
-fn same_packet(a: &TraceRecord, b: &TraceRecord) -> bool {
-    a.ip.ident == b.ip.ident
-        && a.ip.src == b.ip.src
-        && a.ip.dst == b.ip.dst
-        && a.tcp.src_port == b.tcp.src_port
-        && a.tcp.seq == b.tcp.seq
-        && a.tcp.ack == b.tcp.ack
-        && a.tcp.flags == b.tcp.flags
-        && a.payload_len == b.payload_len
 }
 
 fn time_gap(a: Time, b: Time) -> tcpa_trace::Duration {
@@ -204,62 +174,5 @@ mod tests {
         let (clean, removals) = remove_duplicates(&trace);
         assert_eq!(clean.len(), 1);
         assert_eq!(removals.len(), 2);
-    }
-
-    /// The window scan as first written: every kept record scans forward
-    /// until the first surviving record beyond the window.
-    #[allow(clippy::needless_range_loop)]
-    fn reference(trace: &Trace) -> Vec<(usize, usize)> {
-        let n = trace.len();
-        let mut removed = vec![false; n];
-        let mut pairs = Vec::new();
-        for i in 0..n {
-            if removed[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if removed[j] {
-                    continue;
-                }
-                let (a, b) = (&trace.records[i], &trace.records[j]);
-                if time_gap(a.ts, b.ts) > DUP_WINDOW {
-                    break;
-                }
-                if same_packet(a, b) {
-                    removed[j] = true;
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs
-    }
-
-    #[test]
-    fn matches_the_plain_window_scan() {
-        // A small ident and sequence alphabet, timestamps that sometimes
-        // step back, and copies that land inside and outside the window.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = |m: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % m
-        };
-        for _ in 0..200 {
-            let mut ts = 0i64;
-            let trace: Trace = (0..60)
-                .map(|_| {
-                    ts += next(60_000) as i64 - 5_000;
-                    rec(ts, next(6) as u16, 100 * next(3) as u32, 512)
-                })
-                .collect();
-            let (clean, removals) = remove_duplicates(&trace);
-            let pairs: Vec<(usize, usize)> = removals
-                .iter()
-                .map(|r| (r.kept_index, r.removed_index))
-                .collect();
-            assert_eq!(pairs, reference(&trace));
-            assert_eq!(clean.len() + removals.len(), trace.len());
-        }
     }
 }

@@ -362,9 +362,9 @@ fn lossy_cast(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `thread-spawn-audit`: ad-hoc threads bypass the corpus watchdog and
-/// audit-trail absorption; every spawn outside `corpus.rs` needs a
-/// justified allow.
+/// `thread-spawn-audit`: ad-hoc threads escape the corpus runner's
+/// per-item deadline, audit trail and span tree; every spawn outside
+/// `corpus.rs` needs a justified allow.
 fn thread_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let t = ctx.tokens;
     for i in 1..t.len() {

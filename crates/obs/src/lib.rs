@@ -14,7 +14,8 @@
 //!   that record into a global, thread-safe registry of counters and
 //!   log-scale duration histograms. Bucketed histograms merge by
 //!   addition, so the aggregated output is independent of worker count
-//!   and completion order.
+//!   and completion order. The same clock backs [`Deadline`], the
+//!   per-item time budget the analysis checks between units of work.
 //! * **Metrics exposition** ([`metrics`]) — a versioned, stable JSON
 //!   schema (`tcpa-metrics/v1`). Everything outside the top-level
 //!   `wall_clock` object is deterministic: same corpus, same counters,
