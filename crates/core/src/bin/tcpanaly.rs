@@ -221,7 +221,7 @@ fn parse_args() -> Result<Options, String> {
 
 /// Expands the file arguments: files pass through, directories expand to
 /// their `*.pcap` entries sorted by name.
-fn expand_args(args: &[String]) -> Result<Vec<PathBuf>, String> {
+fn expand_corpus_args(args: &[String]) -> Result<Vec<PathBuf>, String> {
     let mut paths = Vec::new();
     for arg in args {
         let p = Path::new(arg);
@@ -243,7 +243,7 @@ fn expand_args(args: &[String]) -> Result<Vec<PathBuf>, String> {
 /// 0 when every item analyzed (possibly salvaged), 1 when any failed, 3
 /// when a strict-policy run aborted on a malformed capture.
 fn run(opts: &Options) -> ExitCode {
-    let paths = match expand_args(&opts.files) {
+    let paths = match expand_corpus_args(&opts.files) {
         Ok(p) => p,
         Err(e) => {
             log::error(&format!("{e}\n{USAGE}"));

@@ -48,7 +48,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
@@ -747,11 +747,12 @@ struct Cursor<S> {
     next_index: usize,
 }
 
-/// What the workers share: the source they pull from and the strict-mode
-/// abort flag.
+/// What the workers share: the source they pull from, the strict-mode
+/// abort flag, and the count of workers that have claimed an item.
 struct Shared<S> {
     cursor: Mutex<Cursor<S>>,
     abort: AtomicBool,
+    lanes: AtomicUsize,
 }
 
 impl<S: TraceSource> Shared<S> {
@@ -782,7 +783,15 @@ fn work<S: TraceSource, T>(
     analyze: &(impl Fn(&str, &Loaded, Deadline) -> Result<T, Expired> + Sync),
     done: &mut dyn FnMut(ItemReport<T>) -> bool,
 ) {
+    let mut named = false;
     while let Some((index, CorpusItem { id, input })) = shared.claim() {
+        // Lanes are numbered in the order workers first claim an item, so
+        // `worker-0` carries the first item whichever thread started first.
+        if !named {
+            let lane = shared.lanes.fetch_add(1, Ordering::Relaxed);
+            trace::set_lane(&format!("worker-{lane}"));
+            named = true;
+        }
         let (outcome, trail) = process_item(config, analyze, index, &id, &input);
         outcome.count_into_metrics();
         if let (Some(trail), Some(dir)) = (trail, config.audit_dir.as_deref()) {
@@ -841,6 +850,7 @@ where
             next_index: 0,
         }),
         abort: AtomicBool::new(false),
+        lanes: AtomicUsize::new(0),
     };
     let mut items = Vec::new();
     let mut collect = |report: ItemReport<T>| {
@@ -851,16 +861,14 @@ where
         true
     };
     if jobs == 1 {
-        trace::set_lane("worker-0");
         work(&shared, config, &analyze, &mut collect);
     } else {
         let (tx, rx) = mpsc::channel::<ItemReport<T>>();
         thread::scope(|scope| {
-            for worker in 0..jobs {
+            for _ in 0..jobs {
                 let tx = tx.clone();
                 let (shared, analyze) = (&shared, &analyze);
                 scope.spawn(move || {
-                    trace::set_lane(&format!("worker-{worker}"));
                     work(shared, config, analyze, &mut |report| {
                         tx.send(report).is_ok()
                     });
