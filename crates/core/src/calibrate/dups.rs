@@ -29,21 +29,9 @@ pub struct DupRemoval {
 /// plausible RTO).
 const DUP_WINDOW: tcpa_trace::Duration = tcpa_trace::Duration::from_millis(80);
 
-/// Removes measurement duplicates, keeping the earlier copy of each pair.
-pub fn remove_duplicates(trace: &Trace) -> (Trace, Vec<DupRemoval>) {
-    let (removed, removals) = find_duplicates(trace);
-    let clean = trace
-        .records
-        .iter()
-        .zip(&removed)
-        .filter(|(_, &gone)| !gone)
-        .map(|(r, _)| r.clone())
-        .collect();
-    (clean, removals)
-}
-
-/// Finds measurement duplicates: for each record, whether it is a later
-/// copy to discard, and every removal in the order it was made.
+/// Finds measurement duplicates, keeping the earlier copy of each pair:
+/// for each record, whether it is a later copy to discard, and every
+/// removal in the order it was made.
 pub fn find_duplicates(trace: &Trace) -> (Vec<bool>, Vec<DupRemoval>) {
     let n = trace.len();
     let mut removed = vec![false; n];
@@ -118,6 +106,11 @@ mod tests {
         }
     }
 
+    /// Records that survive de-duplication.
+    fn kept(removed: &[bool]) -> usize {
+        removed.iter().filter(|&&gone| !gone).count()
+    }
+
     #[test]
     fn identical_ident_within_window_removed() {
         let trace: Trace = vec![
@@ -127,12 +120,12 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let (clean, removals) = remove_duplicates(&trace);
-        assert_eq!(clean.len(), 2);
+        let (removed, removals) = find_duplicates(&trace);
+        assert_eq!(kept(&removed), 2);
         assert_eq!(removals.len(), 1);
         assert_eq!(removals[0].kept_index, 0);
         assert_eq!(removals[0].removed_index, 1);
-        assert_eq!(clean.records[0].ts, Time::from_micros(0), "earlier kept");
+        assert_eq!(removed, [false, true, false], "earlier kept");
     }
 
     #[test]
@@ -140,8 +133,8 @@ mod tests {
         let trace: Trace = vec![rec(0, 1, 100, 512), rec(500, 7, 100, 512)]
             .into_iter()
             .collect();
-        let (clean, removals) = remove_duplicates(&trace);
-        assert_eq!(clean.len(), 2, "same seq, different ident: a retransmit");
+        let (removed, removals) = find_duplicates(&trace);
+        assert_eq!(kept(&removed), 2, "same seq, different ident: a retransmit");
         assert!(removals.is_empty());
     }
 
@@ -152,8 +145,8 @@ mod tests {
         let trace: Trace = vec![rec(0, 1, 100, 512), rec(200_000, 1, 100, 512)]
             .into_iter()
             .collect();
-        let (clean, removals) = remove_duplicates(&trace);
-        assert_eq!(clean.len(), 2);
+        let (removed, removals) = find_duplicates(&trace);
+        assert_eq!(kept(&removed), 2);
         assert!(removals.is_empty());
     }
 
@@ -162,7 +155,7 @@ mod tests {
         let trace: Trace = vec![rec(0, 3, 0, 100), rec(250, 3, 0, 100)]
             .into_iter()
             .collect();
-        let (_, removals) = remove_duplicates(&trace);
+        let (_, removals) = find_duplicates(&trace);
         assert_eq!(removals[0].spread, Duration::from_micros(250));
     }
 
@@ -171,8 +164,8 @@ mod tests {
         let trace: Trace = vec![rec(0, 9, 0, 64), rec(100, 9, 0, 64), rec(200, 9, 0, 64)]
             .into_iter()
             .collect();
-        let (clean, removals) = remove_duplicates(&trace);
-        assert_eq!(clean.len(), 1);
+        let (removed, removals) = find_duplicates(&trace);
+        assert_eq!(kept(&removed), 1);
         assert_eq!(removals.len(), 2);
     }
 }

@@ -69,7 +69,7 @@ impl<'a> SplitTrace<'a> {
             duplicates,
             connections: Vec::new(),
         };
-        split.connections = Connection::split_records(split.survivors());
+        split.connections = Connection::split(split.survivors());
         split
     }
 
@@ -110,7 +110,7 @@ impl<'a> SplitTrace<'a> {
     pub fn calibrate(&self, vantage: Vantage) -> CalibrationReport {
         let mut report = CalibrationReport {
             duplicates: self.duplicates.clone(),
-            time_travel: timing::time_travel_in(self.survivors()),
+            time_travel: timing::detect_time_travel(self.survivors()),
             resequencing: Vec::new(),
             drop_evidence: Vec::new(),
         };

@@ -11,7 +11,7 @@
 //! \[Pa97b\]; this reproduction, like tcpanaly's single-trace check,
 //! reports backward steps only.)
 
-use tcpa_trace::{Duration, Trace, TraceRecord};
+use tcpa_trace::{Duration, TraceRecord};
 
 /// One observed backward timestamp step.
 #[derive(Debug, Clone)]
@@ -22,14 +22,11 @@ pub struct TimeTravel {
     pub magnitude: Duration,
 }
 
-/// Scans for decreasing timestamps.
-pub fn detect_time_travel(trace: &Trace) -> Vec<TimeTravel> {
-    time_travel_in(trace.iter())
-}
-
-/// [`detect_time_travel`] over records given in filter order; indices
+/// Scans records in filter order for decreasing timestamps; indices
 /// count positions in that sequence.
-pub fn time_travel_in<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Vec<TimeTravel> {
+pub fn detect_time_travel<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+) -> Vec<TimeTravel> {
     let mut found = Vec::new();
     let mut prev: Option<tcpa_trace::Time> = None;
     for (index, rec) in records.into_iter().enumerate() {
@@ -50,7 +47,7 @@ pub fn time_travel_in<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcpa_trace::{Time, TraceRecord};
+    use tcpa_trace::{Time, Trace, TraceRecord};
     use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpRepr};
 
     fn rec(ts_us: i64) -> TraceRecord {

@@ -180,11 +180,6 @@ pub fn begin(trace_id: impl Into<String>, index: u64) {
     });
 }
 
-/// `true` when a trail is open on this thread.
-pub fn is_active() -> bool {
-    CURRENT.with(|cell| cell.borrow().is_some())
-}
-
 /// Seals and returns this thread's trail, stamping the outcome and the
 /// total wall-clock. Returns `None` when no trail was open.
 pub fn take(outcome: &str) -> Option<AuditTrail> {
@@ -232,12 +227,11 @@ mod tests {
     #[test]
     fn trail_collects_spans_and_events() {
         begin("tests/a.pcap", 7);
-        assert!(is_active());
         crate::time("stage.test_audit", || ());
         event(EventKind::Retry, "load", "attempt 1: interrupted");
         event(EventKind::Verdict, "outcome", "1 connection");
         let trail = take("analyzed").expect("trail");
-        assert!(!is_active());
+        assert!(take("analyzed").is_none(), "take closes the trail");
         assert_eq!(trail.trace_id, "tests/a.pcap");
         assert_eq!(trail.index, 7);
         assert_eq!(trail.outcome, "analyzed");
@@ -254,7 +248,7 @@ mod tests {
     fn events_without_a_trail_are_dropped() {
         assert!(take("x").is_none());
         event(EventKind::Info, "nobody", "listening");
-        assert!(!is_active());
+        assert!(take("x").is_none(), "an event opens no trail");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! tcpanaly analyzes one bulk-transfer connection at a time, from the
 //! perspective of the *data sender* and the *data receiver*. This module
-//! groups a raw [`Trace`] by connection four-tuple and determines which
+//! groups a raw [`Trace`](crate::Trace) by connection four-tuple and determines which
 //! endpoint is the bulk-data source.
 
-use crate::record::{Trace, TraceRecord};
+use crate::record::TraceRecord;
 use core::fmt;
 use tcpa_wire::Ipv4Addr;
 
@@ -91,17 +91,11 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Splits a trace into connections. The data sender of each connection
-    /// is the endpoint that shipped more payload bytes (ties go to the
-    /// SYN initiator, then to the canonical `a` endpoint).
-    pub fn split(trace: &Trace) -> Vec<Connection> {
-        Connection::split_records(trace.iter())
-    }
-
-    /// [`Connection::split`] over records given in filter order.
-    pub fn split_records<'a>(
-        records: impl IntoIterator<Item = &'a TraceRecord>,
-    ) -> Vec<Connection> {
+    /// Splits a trace (or any records in filter order) into connections.
+    /// The data sender of each connection is the endpoint that shipped
+    /// more payload bytes (ties go to the SYN initiator, then to the
+    /// canonical `a` endpoint).
+    pub fn split<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Vec<Connection> {
         // Groups in first-seen order; consecutive records of one
         // connection skip the key lookup. Directions are filled in once
         // each group's sender is known.
@@ -216,6 +210,7 @@ impl Connection {
 mod tests {
     use super::*;
     use crate::record::test_util::rec;
+    use crate::record::Trace;
     use tcpa_wire::TcpFlags;
 
     #[test]

@@ -134,6 +134,15 @@ impl Trace {
     }
 }
 
+impl<'a> IntoIterator for &'a Trace {
+    type Item = &'a TraceRecord;
+    type IntoIter = core::slice::Iter<'a, TraceRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl FromIterator<TraceRecord> for Trace {
     fn from_iter<T: IntoIterator<Item = TraceRecord>>(iter: T) -> Self {
         Trace {
