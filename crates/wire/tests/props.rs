@@ -8,6 +8,68 @@ use tcpa_wire::{
     TcpOption, TcpRepr,
 };
 
+/// The RFC 1071 reference: big-endian 16-bit words summed one by one
+/// into a `u32`, the last odd byte padded with zero. `Checksum` sums wider
+/// words and must agree with this on every input.
+#[derive(Default)]
+struct Oracle {
+    sum: u32,
+}
+
+impl Oracle {
+    fn add_bytes(&mut self, data: &[u8]) {
+        let mut chunks = data.chunks_exact(2);
+        for chunk in &mut chunks {
+            self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+    }
+
+    fn finish(mut self) -> u16 {
+        while self.sum > 0xffff {
+            self.sum = (self.sum & 0xffff) + (self.sum >> 16);
+        }
+        !(self.sum as u16)
+    }
+}
+
+fn oracle(parts: &[&[u8]]) -> u16 {
+    let mut ck = Oracle::default();
+    for part in parts {
+        ck.add_bytes(part);
+    }
+    ck.finish()
+}
+
+fn incremental(parts: &[&[u8]]) -> u16 {
+    let mut ck = checksum::Checksum::new();
+    for part in parts {
+        ck.add_bytes(part);
+    }
+    ck.finish()
+}
+
+#[test]
+fn checksum_matches_oracle_on_uniform_buffers() {
+    // All-ones buffers exercise the end-around carry at every width,
+    // all-zero ones the "negative zero" a nonzero sum must never fold to.
+    for fill in [0x00u8, 0xff] {
+        let buf = vec![fill; 4096 + 1];
+        for len in 0..=4096 {
+            for start in [0, 1] {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    checksum::checksum(data),
+                    oracle(&[data]),
+                    "fill {fill:#x} len {len} start {start}"
+                );
+            }
+        }
+    }
+}
+
 fn arb_ipv4_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(Ipv4Addr)
 }
@@ -149,6 +211,36 @@ proptest! {
         inc.add_bytes(&data[..split]);
         inc.add_bytes(&data[split..]);
         prop_assert_eq!(inc.finish(), checksum::checksum(&data));
+    }
+
+    #[test]
+    fn checksum_matches_rfc1071_oracle(data in proptest::collection::vec(any::<u8>(), 0..4097),
+                                       start in any::<proptest::sample::Index>()) {
+        // Any start offset, odd ones included: the word loop must not
+        // depend on the slice's alignment.
+        let data = &data[start.index(data.len() + 1)..];
+        prop_assert_eq!(checksum::checksum(data), oracle(&[data]));
+    }
+
+    #[test]
+    fn checksum_sections_match_the_oracle(data in proptest::collection::vec(any::<u8>(), 0..4097),
+                                          a in any::<proptest::sample::Index>(),
+                                          b in any::<proptest::sample::Index>()) {
+        // Arbitrary (odd included) split points: each section is padded
+        // as the final one would be, in both implementations.
+        let (mut a, mut b) = (a.index(data.len() + 1), b.index(data.len() + 1));
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let parts = [&data[..a], &data[a..b], &data[b..]];
+        prop_assert_eq!(incremental(&parts), oracle(&parts));
+        prop_assert_eq!(TcpRepr::compute_checksum(
+            Ipv4Addr::from_host_id(1), Ipv4Addr::from_host_id(2), &data),
+            {
+                let header = [192, 0, 2, 1, 192, 0, 2, 2, 0, 6];
+                let len = (data.len() as u16).to_be_bytes();
+                oracle(&[&header, &len, &data])
+            });
     }
 
     #[test]
