@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use tcpa_wire::ethernet::{EtherType, EthernetRepr, MacAddr};
 use tcpa_wire::pcap::{
-    salvage_records, DamageRegion, FaultKind, PcapError, PcapReader, PcapRecord, PcapWriter,
-    LINKTYPE_ETHERNET,
+    DamageRegion, FaultKind, PcapError, PcapRecord, PcapWriter, RecordWalker, LINKTYPE_ETHERNET,
 };
 use tcpa_wire::{Ipv4Repr, TcpRepr, TsResolution};
 
@@ -71,7 +70,7 @@ pub fn write_pcap<W: Write>(
     let effective_snap = if snaplen == 0 { u32::MAX } else { snaplen };
     let mut writer = PcapWriter::new(out, resolution, LINKTYPE_ETHERNET, effective_snap)?;
     for rec in trace.iter() {
-        let frame = frame_bytes(rec);
+        let mut frame = frame_bytes(rec);
         let orig_len = u32::try_from(frame.len()).map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -83,13 +82,11 @@ pub fn write_pcap<W: Write>(
         })?;
         // A snap length that does not fit usize cannot truncate anything
         // addressable, so it is equivalent to "keep everything".
-        let keep = frame
-            .len()
-            .min(usize::try_from(effective_snap).unwrap_or(usize::MAX));
+        frame.truncate(usize::try_from(effective_snap).unwrap_or(usize::MAX));
         // pcap timestamps are unsigned; clamp pathological negative stamps
         // (real time-travel traces are produced in-memory, not via pcap).
         let ts = rec.ts.as_nanos().max(0) as u64;
-        writer.write_record(ts, orig_len, &frame[..keep])?;
+        writer.write_record(ts, orig_len, &frame)?;
     }
     writer.finish()
 }
@@ -98,21 +95,26 @@ pub fn write_pcap<W: Write>(
 /// skipped (the paper's filters matched TCP packets only). Frames whose
 /// TCP header itself is truncated by the snap length are skipped too, with
 /// their count returned alongside the trace.
-pub fn read_pcap<R: Read>(input: R) -> Result<(Trace, usize), PcapError> {
+pub fn read_pcap<R: Read>(mut input: R) -> Result<(Trace, usize), PcapError> {
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    read_pcap_bytes(&bytes)
+}
+
+/// [`read_pcap`] over capture bytes already in memory: the first
+/// malformed byte fails the read with a [`PcapError`] naming the damage
+/// and its byte offset.
+pub fn read_pcap_bytes(bytes: &[u8]) -> Result<(Trace, usize), PcapError> {
     let _span = tcpa_obs::span("ingest.read");
-    let mut reader = PcapReader::new(input)?;
-    if reader.linktype() != LINKTYPE_ETHERNET {
+    let mut walker = RecordWalker::strict(bytes)?;
+    if walker.linktype() != LINKTYPE_ETHERNET {
         return Err(PcapError::UnsupportedLinkType {
-            linktype: reader.linktype(),
+            linktype: walker.linktype(),
         });
     }
-    let mut trace = Trace::new();
-    let mut skipped = 0usize;
-    while let Some(pkt) = reader.next_record()? {
-        match decode_frame(&pkt) {
-            Some(rec) => trace.push(rec),
-            None => skipped += 1,
-        }
+    let (trace, skipped) = decode_records(&mut walker);
+    if let Some(e) = walker.error() {
+        return Err(e);
     }
     tcpa_obs::add("ingest.reads", 1);
     tcpa_obs::add("ingest.frames", trace.len() as u64);
@@ -120,11 +122,25 @@ pub fn read_pcap<R: Read>(input: R) -> Result<(Trace, usize), PcapError> {
     Ok((trace, skipped))
 }
 
+/// Decodes every Ethernet record the walker yields into a trace, and
+/// counts the records that are not TCP/IPv4 frames.
+fn decode_records(walker: &mut RecordWalker<'_>) -> (Trace, usize) {
+    let mut trace = Trace::new();
+    let mut skipped = 0usize;
+    for pkt in walker {
+        match decode_frame(&pkt) {
+            Some(rec) => trace.push(rec),
+            None => skipped += 1,
+        }
+    }
+    (trace, skipped)
+}
+
 /// Decodes one captured Ethernet frame into a [`TraceRecord`], or `None`
 /// when it is not a parseable TCP/IPv4 frame (the paper's filters matched
 /// TCP packets only; everything else is counted and skipped).
-fn decode_frame(pkt: &PcapRecord) -> Option<TraceRecord> {
-    let (eth, ip_bytes) = EthernetRepr::parse(&pkt.data).ok()?;
+fn decode_frame(pkt: &PcapRecord<'_>) -> Option<TraceRecord> {
+    let (eth, ip_bytes) = EthernetRepr::parse(pkt.data).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
@@ -176,6 +192,9 @@ pub struct IngestReport {
     pub header_assumed: bool,
     /// Every damaged region with its classification, in file order.
     pub damage: Vec<DamageRegion>,
+    /// The capture's link type ([`LINKTYPE_ETHERNET`] when the header was
+    /// assumed). Records of any other link type are not decoded.
+    pub linktype: u32,
 }
 
 impl IngestReport {
@@ -236,23 +255,22 @@ impl core::fmt::Display for IngestReport {
 /// decoded exactly as [`read_pcap`] would.
 pub fn read_pcap_salvage_bytes(bytes: &[u8]) -> (Trace, IngestReport) {
     let _span = tcpa_obs::span("ingest.salvage");
-    let (records, summary) = salvage_records(bytes);
-    let mut trace = Trace::new();
-    let mut frames_skipped = 0usize;
-    for pkt in &records {
-        match decode_frame(pkt) {
-            Some(rec) => trace.push(rec),
-            None => frames_skipped += 1,
-        }
-    }
+    let mut walker = RecordWalker::salvage(bytes);
+    let (trace, frames_skipped) = if walker.linktype() == LINKTYPE_ETHERNET {
+        decode_records(&mut walker)
+    } else {
+        (Trace::new(), walker.by_ref().count())
+    };
+    let summary = walker.into_summary();
     let report = IngestReport {
-        records: records.len(),
+        records: trace.len() + frames_skipped,
         frames: trace.len(),
         frames_skipped,
         bytes_total: summary.bytes_total,
         bytes_skipped: summary.bytes_skipped,
         header_assumed: summary.header_assumed,
         damage: summary.damage,
+        linktype: summary.linktype,
     };
     tcpa_obs::add("ingest.salvage_reads", 1);
     tcpa_obs::add("ingest.frames", trace.len() as u64);

@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tcpa_wire::pcap::{PcapError, LINKTYPE_ETHERNET};
 
 /// One unit of corpus work: a labelled, possibly not-yet-loaded trace.
 #[derive(Debug, Clone)]
@@ -216,26 +217,28 @@ impl TraceInput {
     }
 }
 
-/// Decodes capture bytes under the requested degradation mode.
+/// Decodes capture bytes under the requested degradation mode. Only
+/// Ethernet captures are decoded: another link type is malformed in
+/// both modes, since salvage cannot recover frames it cannot parse.
 fn decode_bytes(bytes: &[u8], mode: LoadMode, label: &str) -> Result<Loaded, LoadError> {
+    let malformed = |e: PcapError| LoadError::Malformed {
+        detail: format!("{label}: {e}"),
+    };
     match mode {
-        LoadMode::Strict => pcap_io::read_pcap(std::io::Cursor::new(bytes))
+        LoadMode::Strict => pcap_io::read_pcap_bytes(bytes)
             .map(|(trace, non_tcp_skipped)| Loaded {
                 trace,
                 salvage: None,
                 non_tcp_skipped,
             })
-            .map_err(|e| match e {
-                tcpa_wire::pcap::PcapError::Io(io) => LoadError::Io {
-                    kind: io.kind(),
-                    detail: format!("{label}: {io}"),
-                },
-                other => LoadError::Malformed {
-                    detail: format!("{label}: {other}"),
-                },
-            }),
+            .map_err(malformed),
         LoadMode::Salvage => {
             let (trace, report) = pcap_io::read_pcap_salvage_bytes(bytes);
+            if report.linktype != LINKTYPE_ETHERNET {
+                return Err(malformed(PcapError::UnsupportedLinkType {
+                    linktype: report.linktype,
+                }));
+            }
             Ok(Loaded {
                 trace,
                 salvage: Some(report),

@@ -12,7 +12,8 @@
 //! * [`icmp`] — the small ICMP subset the paper needs (source quench,
 //!   echo),
 //! * [`pcap`] — the classic libpcap capture file format (µs and ns
-//!   timestamp variants, both endiannesses), reader and writer,
+//!   timestamp variants, both endiannesses): a record walker over the
+//!   capture's bytes (strict or salvage) and a writer,
 //! * [`seq`] — wrap-safe 32-bit TCP sequence-number arithmetic.
 //!
 //! The design follows the smoltcp idiom: each protocol has a *packet view*
@@ -35,8 +36,8 @@ pub use ethernet::{EtherType, EthernetRepr, MacAddr};
 pub use icmp::IcmpRepr;
 pub use ipv4::{IpProtocol, Ipv4Addr, Ipv4Repr};
 pub use pcap::{
-    salvage_records, DamageRegion, FaultKind, PcapError, PcapReader, PcapRecord, PcapWriter,
-    SalvageSummary, TsResolution,
+    DamageRegion, FaultKind, PcapError, PcapRecord, PcapWriter, RecordWalker, SalvageSummary,
+    TsResolution,
 };
 pub use seq::SeqNum;
 pub use tcp::{TcpFlags, TcpOption, TcpRepr};
