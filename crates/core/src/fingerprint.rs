@@ -292,12 +292,17 @@ pub fn receiver_fit(analysis: &crate::receiver::ReceiverAnalysis, cfg: &TcpConfi
 /// Runs every known profile's receiver side against a receiver-vantage
 /// connection; consistent candidates first.
 pub fn fingerprint_receiver(conn: &Connection) -> Vec<ReceiverFit> {
-    let Some(analysis) = crate::receiver::analyze_receiver(conn) else {
-        return Vec::new();
-    };
+    crate::receiver::analyze_receiver(conn)
+        .map(|analysis| rank_receiver(&analysis))
+        .unwrap_or_default()
+}
+
+/// Ranks every known profile's receiver side against one receiver
+/// analysis; consistent candidates first.
+pub fn rank_receiver(analysis: &crate::receiver::ReceiverAnalysis) -> Vec<ReceiverFit> {
     let mut fits: Vec<ReceiverFit> = all_profiles()
         .iter()
-        .map(|cfg| receiver_fit(&analysis, cfg))
+        .map(|cfg| receiver_fit(analysis, cfg))
         .collect();
     fits.sort_by_key(|f| (!f.consistent, f.contradictions.len()));
     fits

@@ -2,7 +2,7 @@
 
 use crate::calibrate::{CalibrationReport, SplitTrace, Vantage};
 use crate::fingerprint::{
-    fingerprint_receiver, fingerprint_within, FingerprintResult, FitClass, ReceiverFit,
+    fingerprint_within, rank_receiver, FingerprintResult, FitClass, ReceiverFit,
 };
 use crate::handshake::{analyze_handshake, HandshakeAnalysis};
 use crate::receiver::{analyze_receiver, AckClass, ReceiverAnalysis};
@@ -173,11 +173,13 @@ impl Analyzer {
             Vantage::Sender => None,
             _ => analyze_receiver(conn),
         });
-        let receiver_fingerprint =
-            tcpa_obs::time_noted("stage.receiver_fingerprint", &key, || match self.vantage {
-                Vantage::Receiver => fingerprint_receiver(conn),
+        // Ranked from the analysis just made, not by analyzing again.
+        let receiver_fingerprint = tcpa_obs::time_noted("stage.receiver_fingerprint", &key, || {
+            match (self.vantage, &receiver) {
+                (Vantage::Receiver, Some(analysis)) => rank_receiver(analysis),
                 _ => Vec::new(),
-            });
+            }
+        });
         Ok(ConnectionReport {
             fingerprint,
             receiver,
